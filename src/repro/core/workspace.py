@@ -7,7 +7,7 @@ HDFS's edit log is not: a crash mid-write leaves a truncated file, a
 flipped byte produces an opaque ``UnpicklingError`` pages deep in the
 pickle machinery, and nothing says which tool or version wrote the file.
 
-Format v2 wraps the pickle payload in a small header::
+The format wraps the pickle payload in a small header::
 
     REPROWS\\n | version (u8) | payload crc32 (u32 BE) | payload length (u64 BE) | payload
 
@@ -17,13 +17,18 @@ reader never observes a half-written workspace. Loading verifies magic,
 version, length and CRC before unpickling and raises a structured
 :class:`WorkspaceError` subclass (never a raw ``UnpicklingError``).
 
-Files written by earlier releases (plain pickles, no header) still load:
-anything that does not start with the magic falls back to the legacy
-path, preserving backward compatibility.
+Format v3 is v2's header over a new payload: local R-trees pickle as
+flat MBR columns plus their record list, not as object graphs (see
+:mod:`repro.index.rtree`). A v2 file names classes v3 no longer has, so
+it is refused by its header with :class:`WorkspaceVersionError` before
+any unpickling; there is no converter — recreate the workspace.
+
+Plain pickles with no header still load through the legacy path.
 """
 
 from __future__ import annotations
 
+import gc
 import io
 import os
 import pickle
@@ -33,7 +38,7 @@ from pathlib import Path
 from typing import Any, Optional, Type
 
 MAGIC = b"REPROWS\n"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 #: Header after the magic: version (u8), payload CRC-32 (u32), length (u64).
 _HEADER = struct.Struct(">BIQ")
 
@@ -88,7 +93,7 @@ def atomic_write(path: Path, *chunks: bytes, sync: bool = True) -> None:
 
 
 def save_workspace(sh: Any, path: Path) -> None:
-    """Atomically persist ``sh`` to ``path`` in format v2."""
+    """Atomically persist ``sh`` to ``path`` in the current format."""
     path = Path(path)
     payload = pickle.dumps(sh, protocol=pickle.HIGHEST_PROTOCOL)
     header = MAGIC + _HEADER.pack(
@@ -102,9 +107,9 @@ def load_workspace(
 ) -> Any:
     """Load a workspace from ``path``, verifying header and checksum.
 
-    Accepts both format-v2 files and legacy headerless pickles. Raises
+    Accepts current-format files and legacy headerless pickles. Raises
     :class:`WorkspaceCorruptError` on truncation/bit-rot,
-    :class:`WorkspaceVersionError` on an unknown format version, and
+    :class:`WorkspaceVersionError` on any other format version, and
     :class:`WorkspaceTypeError` when the decoded object is not an
     instance of ``expected_type``.
     """
@@ -115,7 +120,7 @@ def load_workspace(
         raise WorkspaceError(f"cannot read workspace {path}: {exc}") from exc
 
     if raw.startswith(MAGIC):
-        obj = _load_v2(path, raw)
+        obj = _load_framed(path, raw)
     else:
         obj = _load_legacy(path, raw)
 
@@ -127,7 +132,7 @@ def load_workspace(
     return obj
 
 
-def _load_v2(path: Path, raw: bytes) -> Any:
+def _load_framed(path: Path, raw: bytes) -> Any:
     header_end = len(MAGIC) + _HEADER.size
     if len(raw) < header_end:
         raise WorkspaceCorruptError(
@@ -138,6 +143,12 @@ def _load_v2(path: Path, raw: bytes) -> Any:
         raise WorkspaceVersionError(
             f"workspace {path} uses format v{version}; this release "
             f"reads up to v{FORMAT_VERSION}"
+        )
+    if version < FORMAT_VERSION:
+        raise WorkspaceVersionError(
+            f"workspace {path} uses format v{version}, which this release "
+            f"no longer reads (it needs v{FORMAT_VERSION}); recreate the "
+            "workspace"
         )
     payload = raw[header_end:]
     if len(payload) != length:
@@ -152,7 +163,7 @@ def _load_v2(path: Path, raw: bytes) -> Any:
             "good copy, or recreate the workspace)"
         )
     try:
-        return pickle.loads(payload)
+        return _unpickle(payload)
     except Exception as exc:
         raise WorkspaceCorruptError(
             f"workspace {path} passed its checksum but failed to "
@@ -162,10 +173,10 @@ def _load_v2(path: Path, raw: bytes) -> Any:
 
 
 def _load_legacy(path: Path, raw: bytes) -> Any:
-    # Pre-v2 files are bare pickles with no integrity data; decode
+    # Headerless files are bare pickles with no integrity data; decode
     # failures here mean truncation or corruption we cannot distinguish.
     try:
-        return pickle.loads(raw)
+        return _unpickle(raw)
     except Exception as exc:
         raise WorkspaceCorruptError(
             f"workspace {path} is corrupt or truncated "
@@ -173,8 +184,24 @@ def _load_legacy(path: Path, raw: bytes) -> Any:
         ) from exc
 
 
+def _unpickle(payload: bytes) -> Any:
+    """``pickle.loads`` with the cyclic GC paused.
+
+    Decoding allocates hundreds of thousands of objects that all stay
+    live, so the collections their allocation would trigger find nothing
+    and, on a large workspace, cost as much as the decode itself.
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return pickle.loads(payload)
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
 def is_workspace_file(path: Path) -> bool:
-    """Cheap sniff: does ``path`` start with the v2 magic?"""
+    """Cheap sniff: does ``path`` start with the workspace magic?"""
     try:
         with io.open(path, "rb") as fh:
             return fh.read(len(MAGIC)) == MAGIC

@@ -26,7 +26,7 @@ from repro.index.partitioners.space_curves import (
     ZCurvePartitioner,
 )
 from repro.index.partitioners.str_ import StrPartitioner, StrPlusPartitioner
-from repro.index.rtree import RTree, RTreeEntry
+from repro.index.rtree import RTree
 from repro.index.sampler import reservoir_sample
 from repro.mapreduce import Block, Job, JobResult, JobRunner
 
@@ -211,12 +211,7 @@ def build_index(
                     cell_mbr = content_mbr
                 metadata = {"cell": cell_mbr, "cell_id": cell_id}
                 if build_local_indexes:
-                    metadata["local_index"] = RTree(
-                        [
-                            RTreeEntry(mbr=shape_mbr(r), record=r)
-                            for r in records
-                        ]
-                    )
+                    metadata["local_index"] = RTree.from_shapes(records)
                 blocks.append(Block(records=list(records), metadata=metadata))
                 cells.append(
                     Cell(

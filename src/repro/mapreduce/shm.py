@@ -148,10 +148,10 @@ def _attach(name: str) -> shared_memory.SharedMemory:
 class _LazyMetadata(dict):
     """Block metadata whose local index is rebuilt on first access.
 
-    A sealed block's local R-tree pickles as the whole tree — entries,
-    nodes, one record reference each — which defeats the point of not
-    shipping the records. The stand-in ships the *build parameters*
-    instead (a flag plus the node capacity) and rebuilds the tree from
+    A sealed block's local R-tree pickles its MBR columns plus the record
+    list, which defeats the point of not shipping the records. The
+    stand-in ships the *build parameters* instead (a flag plus the node
+    capacity) and rebuilds the tree from
     the materialized records on first ``get("local_index")``. STR bulk
     load is deterministic, so the rebuilt tree answers queries exactly
     like the original.
@@ -165,17 +165,12 @@ class _LazyMetadata(dict):
     def _ensure_index(self) -> None:
         if dict.__contains__(self, "local_index"):
             return
-        from repro.index.partitioners.base import shape_mbr
-        from repro.index.rtree import RTree, RTreeEntry
+        from repro.index.rtree import RTree
 
-        records = self._block.records
         dict.__setitem__(
             self,
             "local_index",
-            RTree(
-                [RTreeEntry(mbr=shape_mbr(r), record=r) for r in records],
-                node_capacity=self._capacity,
-            ),
+            RTree.from_shapes(self._block.records, self._capacity),
         )
 
     def __getitem__(self, key):

@@ -76,9 +76,8 @@ def checksum_records(records: List[Any]) -> int:
 
 
 def local_index_checksum(local_index: Any) -> int:
-    """CRC-32 of a local index's canonical form (entry MBRs, in order)."""
-    text = ";".join(str(e.mbr) for e in local_index.all_entries())
-    return zlib.crc32(text.encode("utf-8"))
+    """CRC-32 of a local index's column and structure bytes."""
+    return local_index.checksum()
 
 
 def global_index_checksum(gindex: Any) -> int:
@@ -587,13 +586,10 @@ def _check_local_index(name, index, block, repair, report) -> None:
 def _rebuild_local_index(records):
     """Bulk-load a fresh local R-tree from a block's surviving records."""
     # Imported lazily: repro.index imports repro.mapreduce.
-    from repro.index.partitioners.base import shape_mbr
-    from repro.index.rtree import RTree, RTreeEntry
+    from repro.index.rtree import RTree
 
     try:
-        return RTree(
-            [RTreeEntry(mbr=shape_mbr(r), record=r) for r in records]
-        )
+        return RTree.from_shapes(records)
     except Exception:
         return None
 

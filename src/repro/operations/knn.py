@@ -77,10 +77,7 @@ def _knn_indexed_map(_cell, records, ctx):
     """Per-partition top-k via the local index (module-level: picklable)."""
     local = local_index_of(ctx) if ctx.config["use_local_index"] else None
     if local is not None:
-        top = [
-            (d, e.record)
-            for d, e in local.knn(ctx.config["query"], ctx.config["k"])
-        ]
+        top = local.knn(ctx.config["query"], ctx.config["k"], records=True)
     else:
         payload = payload_of(ctx.split.block, len(records))
         top = _local_topk(

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from typing import Any, List, Tuple
+from typing import Any, Dict, List, Tuple
 
 from repro.core.result import OperationResult
 from repro.core.reader import spatial_reader
@@ -61,6 +61,9 @@ def knn_join_spatial(
         kk: int = ctx.config["k"]
         blocks_touched = set()
         block_reads = 0
+        # Right blocks indexed without local indexes get a tree built once
+        # per map task, on first touch, not once per left record.
+        built: Dict[int, RTree] = {}
         for record in records:
             query = as_point(record)
             # Best-first over S partitions by MBR distance; stop once the
@@ -80,13 +83,16 @@ def knn_join_spatial(
                 block = right_blocks[s_cell.cell_id]
                 local: RTree = block.metadata.get("local_index")
                 if local is None:  # index built without local indexes
-                    local = RTree.from_shapes(block.records)
-                for d, entry in local.knn(query, kk):
+                    local = built.get(s_cell.cell_id)
+                    if local is None:
+                        local = RTree.from_shapes(block.records)
+                        built[s_cell.cell_id] = local
+                for d, rec in local.knn(query, kk, records=True):
                     if len(best) < kk:
-                        heapq.heappush(best, (-d, counter, entry.record))
+                        heapq.heappush(best, (-d, counter, rec))
                         counter += 1
                     elif d < -best[0][0]:
-                        heapq.heappushpop(best, (-d, counter, entry.record))
+                        heapq.heappushpop(best, (-d, counter, rec))
                         counter += 1
             neighbors = sorted((-nd, rec) for nd, _, rec in best)
             ctx.write_output((record, neighbors))

@@ -40,7 +40,7 @@ def _count_indexed_map(cell, records, ctx):
     q = ctx.config["query"]
     local = local_index_of(ctx)
     if local is not None:
-        candidates = [e.record for e in local.search(q)]
+        candidates = local.search(q, records=True)
     else:
         payload = payload_of(ctx.split.block, len(records))
         if payload is not None:

@@ -66,7 +66,7 @@ def _indexed_map(cell, records, ctx):
     ctx.log("debug", "partition-scanned", records=len(records))
     local = local_index_of(ctx) if ctx.config["use_local_index"] else None
     if local is not None:
-        candidates = [e.record for e in local.search(q)]
+        candidates = local.search(q, records=True)
     else:
         payload = payload_of(ctx.split.block, len(records))
         if payload is not None:

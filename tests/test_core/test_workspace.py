@@ -103,6 +103,21 @@ class TestCorruption:
         with pytest.raises(WorkspaceVersionError):
             load_workspace(path)
 
+    def test_v2_header_raises_before_unpickling(self, tmp_path, monkeypatch):
+        # v2 payloads hold R-tree object graphs; v3 has no converter.
+        path = tmp_path / "ws.pkl"
+        save_workspace(build("str"), path)
+        raw = bytearray(path.read_bytes())
+        raw[len(MAGIC)] = 2
+        path.write_bytes(bytes(raw))
+
+        def no_unpickling(*_args, **_kwargs):
+            raise AssertionError("a v2 payload must not be unpickled")
+
+        monkeypatch.setattr(pickle, "loads", no_unpickling)
+        with pytest.raises(WorkspaceVersionError, match="recreate"):
+            load_workspace(path)
+
     def test_missing_file_raises_workspace_error(self, tmp_path):
         with pytest.raises(WorkspaceError):
             load_workspace(tmp_path / "nope.pkl")

@@ -1,14 +1,19 @@
 """Tests for the in-memory STR R-tree (the local index)."""
 
+import contextlib
+import heapq
 import math
+import os
+import pickle
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.geometry import Point, Rectangle
+from repro.geometry import Point, Rectangle, vectorized
 from repro.index import RTree, RTreeEntry
+from repro.index import rtree as rtree_module
 
 coords = st.floats(-1000, 1000, allow_nan=False, allow_infinity=False)
 points = st.builds(Point, coords, coords)
@@ -128,3 +133,234 @@ class TestEntryApi:
         entry = RTreeEntry(mbr=Rectangle(0, 0, 1, 1), record={"id": 7})
         t = RTree([entry])
         assert t.search(Rectangle(0, 0, 2, 2))[0].record == {"id": 7}
+
+
+# ----------------------------------------------------------------------
+# The array-backed layout
+# ----------------------------------------------------------------------
+grid = st.integers(0, 12).map(float)  # small grid: many exact ties
+grid_points = st.builds(Point, grid, grid)
+grid_rects = st.builds(
+    lambda x, y, w, h: Rectangle(x, y, x + w, y + h),
+    grid,
+    grid,
+    st.integers(0, 3).map(float),
+    st.integers(0, 3).map(float),
+)
+windows = st.builds(
+    lambda x, y, w, h: Rectangle(x - 0.5, y - 0.5, x + w, y + h),
+    grid,
+    grid,
+    grid,
+    grid,
+)
+
+
+@contextlib.contextmanager
+def vectorize(mode):
+    old = os.environ.get(vectorized.VECTORIZE_ENV_VAR)
+    os.environ[vectorized.VECTORIZE_ENV_VAR] = mode
+    try:
+        yield
+    finally:
+        if old is None:
+            del os.environ[vectorized.VECTORIZE_ENV_VAR]
+        else:
+            os.environ[vectorized.VECTORIZE_ENV_VAR] = old
+
+
+def reference(shapes, capacity, queries, query_points, k):
+    """The STR object tree the array layout replaced, as an oracle.
+
+    Nested ``(mbr, children_or_entries, is_leaf)`` nodes, stable STR
+    sorts on MBR centres, a stack walk for emission order and a
+    best-first kNN pushing children and entries in stored order.
+    """
+
+    def pack(items, mbr_of):
+        n = len(items)
+        num_slices = math.ceil(math.sqrt(math.ceil(n / capacity)))
+        per_slice = math.ceil(n / num_slices)
+        by_x = sorted(items, key=lambda it: mbr_of(it).center.x)
+        groups = []
+        for s in range(0, n, per_slice):
+            vertical = sorted(
+                by_x[s:s + per_slice], key=lambda it: mbr_of(it).center.y
+            )
+            groups.extend(
+                vertical[g:g + capacity]
+                for g in range(0, len(vertical), capacity)
+            )
+        return groups
+
+    def union(mbrs):
+        return Rectangle(
+            min(m.x1 for m in mbrs), min(m.y1 for m in mbrs),
+            max(m.x2 for m in mbrs), max(m.y2 for m in mbrs),
+        )
+
+    entries = [(s.mbr, s) for s in shapes]
+    level = [
+        (union([m for m, _ in g]), g, True)
+        for g in pack(entries, lambda e: e[0])
+    ]
+    while len(level) > 1:
+        level = [
+            (union([n[0] for n in g]), g, False)
+            for g in pack(level, lambda n: n[0])
+        ]
+    root = level[0]
+
+    order, stack = [], [root]
+    while stack:
+        _mbr, items, is_leaf = stack.pop()
+        if is_leaf:
+            order.extend(items)
+        else:
+            stack.extend(items)
+    searched = [[e for e in order if e[0].intersects(q)] for q in queries]
+
+    knns = []
+    for p in query_points:
+        counter = 0
+        heap = [(root[0].min_distance_sq_point(p), 0, False, root)]
+        out = []
+        while heap and len(out) < k:
+            _d, _c, is_entry, item = heapq.heappop(heap)
+            if is_entry:
+                out.append((item[0].min_distance_point(p), item))
+                continue
+            for child in item[1]:
+                counter += 1
+                heapq.heappush(
+                    heap,
+                    (child[0].min_distance_sq_point(p), counter, item[2], child),
+                )
+        knns.append(out)
+    return order, searched, knns
+
+
+def pairs(entries):
+    return [(e.mbr, e.record) for e in entries]
+
+
+class TestArrayLayout:
+    @given(
+        st.one_of(
+            st.lists(grid_points, max_size=150),
+            st.lists(grid_rects, max_size=150),
+        ),
+        st.integers(2, 32),
+        st.lists(windows, min_size=1, max_size=4),
+        st.lists(grid_points, min_size=1, max_size=3),
+        st.integers(1, 40),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_round_trip_matches_original_and_oracle(
+        self, shapes, capacity, queries, query_points, k
+    ):
+        tree = RTree.from_shapes(shapes, node_capacity=capacity)
+        clone = pickle.loads(pickle.dumps(tree))
+        order, searched, knns = reference(
+            shapes, capacity, queries, query_points, k
+        ) if shapes else ([], [[] for _ in queries], [[] for _ in query_points])
+        assert len(clone) == len(tree) == len(shapes)
+        assert clone.depth() == tree.depth()
+        assert clone.mbr == tree.mbr
+        assert list(clone.all_entries()) == list(tree.all_entries())
+        assert pairs(tree.all_entries()) == order
+        for mode in ("0", "1"):
+            with vectorize(mode):
+                for q, want in zip(queries, searched):
+                    got = tree.search(q)
+                    assert clone.search(q) == got
+                    assert pairs(got) == want
+                    records = [e.record for e in got]
+                    assert tree.search(q, records=True) == records
+                    assert clone.search(q, records=True) == records
+                for p, want in zip(query_points, knns):
+                    got = tree.knn(p, k)
+                    assert clone.knn(p, k) == got
+                    assert [(d, (e.mbr, e.record)) for d, e in got] == want
+                    records = [(d, e.record) for d, e in got]
+                    assert tree.knn(p, k, records=True) == records
+                    assert clone.knn(p, k, records=True) == records
+
+    def test_single_entry_round_trip(self):
+        entry = RTreeEntry(mbr=Rectangle(1, 2, 3, 4), record={"id": 1})
+        tree = RTree([entry])
+        clone = pickle.loads(pickle.dumps(tree))
+        assert list(clone.all_entries()) == [entry]
+        assert clone.knn(Point(0, 0), 3) == tree.knn(Point(0, 0), 3)
+        assert clone.search(Rectangle(0, 0, 1, 2)) == [entry]
+
+    def test_empty_round_trip(self):
+        clone = pickle.loads(pickle.dumps(RTree([])))
+        assert len(clone) == 0 and clone.depth() == 0 and clone.mbr is None
+        assert clone.search(Rectangle(0, 0, 1, 1)) == []
+        assert clone.knn(Point(0, 0), 1) == []
+        assert list(clone.all_entries()) == []
+
+    def test_record_queries_build_no_entries(self):
+        pts = [Point(float(i % 13), float(i // 13)) for i in range(300)]
+        clone = pickle.loads(pickle.dumps(tree_of(pts)))
+        window = Rectangle(2, 2, 6, 9)
+        with vectorize("1"):
+            hits = clone.search(window, records=True)
+            nearest = clone.knn(Point(4.2, 4.7), 25, records=True)
+            assert clone._entries is None
+        assert sorted(hits) == sorted(p for p in pts if window.contains_point(p))
+        assert nearest == [(d, e.record) for d, e in clone.knn(Point(4.2, 4.7), 25)]
+
+    def test_given_entries_are_returned_as_is(self):
+        entries = [
+            RTreeEntry(mbr=Rectangle(i, i, i + 1.0, i + 1.0), record=i)
+            for i in range(40)
+        ]
+        tree = RTree(entries, node_capacity=4)
+        assert {id(e) for e in tree.all_entries()} == {id(e) for e in entries}
+
+    def test_pickle_is_columns_not_objects(self):
+        random.seed(3)
+        n = 5000
+        pts = [Point(random.random(), random.random()) for _ in range(n)]
+        tree = tree_of(pts, capacity=32)
+        tree.search(Rectangle(0, 0, 1, 1))  # builds the entry cache
+        blob = pickle.dumps(tree, protocol=pickle.HIGHEST_PROTOCOL)
+        for name in (b"RTreeEntry", b"Rectangle", b"_Node"):
+            assert name not in blob
+        # Beside its block's records, a tree costs its columns, one memo
+        # reference per record and the node ranges.
+        records = pickle.dumps(pts, protocol=pickle.HIGHEST_PROTOCOL)
+        both = pickle.dumps((pts, tree), protocol=pickle.HIGHEST_PROTOCOL)
+        assert len(both) - len(records) <= 48 * n + 4096
+
+    @given(
+        st.one_of(
+            st.lists(grid_points, max_size=120),
+            st.lists(grid_rects, max_size=120),
+        ),
+        st.integers(2, 16),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_pure_python_build_matches_numpy(self, shapes, capacity):
+        if not vectorized.has_numpy():
+            pytest.skip("needs NumPy for the comparison")
+        with_numpy = RTree.from_shapes(shapes, node_capacity=capacity)
+        saved = rtree_module._np, vectorized._np
+        rtree_module._np = vectorized._np = None
+        try:
+            pure = RTree.from_shapes(shapes, node_capacity=capacity)
+            assert pure.checksum() == with_numpy.checksum()
+            assert list(pure.all_entries()) == list(with_numpy.all_entries())
+            clone = pickle.loads(pickle.dumps(with_numpy))
+        finally:
+            rtree_module._np, vectorized._np = saved
+        assert clone.checksum() == with_numpy.checksum()
+
+    def test_checksum_survives_pickle_and_tracks_content(self):
+        pts = [Point(float(i % 9), float(i // 9)) for i in range(200)]
+        tree = tree_of(pts)
+        assert pickle.loads(pickle.dumps(tree)).checksum() == tree.checksum()
+        moved = pts[:-1] + [Point(100.0, 100.0)]
+        assert tree_of(moved).checksum() != tree.checksum()

@@ -91,3 +91,30 @@ class TestKnnJoinDetails:
         touched = result.counters["KNN_JOIN_S_BLOCKS"]
         all_pairs = runner.fs.num_blocks("Li") * runner.fs.num_blocks("Si")
         assert touched < all_pairs
+
+    def test_right_file_without_local_indexes(self, runner, monkeypatch):
+        from repro.operations import knn_join as module
+
+        left = generate_points(200, "uniform", seed=11, space=SPACE)
+        right = generate_points(600, "gaussian", seed=12, space=SPACE)
+        runner.fs.create_file("L", left)
+        runner.fs.create_file("S", right)
+        build_index(runner, "L", "Li", "str")
+        build_index(runner, "S", "Si", "str")
+        build_index(runner, "S", "Sbare", "str", build_local_indexes=False)
+        want = knn_join_spatial(runner, "Li", "Si", 3)
+
+        builds = []
+        original = module.RTree.from_shapes
+
+        def counting(shapes, *args, **kwargs):
+            builds.append(len(shapes))
+            return original(shapes, *args, **kwargs)
+
+        monkeypatch.setattr(module.RTree, "from_shapes", counting)
+        got = knn_join_spatial(runner, "Li", "Sbare", 3)
+        assert got.answer == want.answer
+        check(got, left, right, 3)
+        # One tree per right block per map task, not per left record.
+        assert builds
+        assert len(builds) <= got.counters["KNN_JOIN_S_BLOCKS"]
