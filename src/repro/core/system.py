@@ -99,18 +99,6 @@ class SpatialHadoop:
             **runner_kwargs,
         )
 
-    def __setstate__(self, state):
-        # Workspaces pickled before the observability layer existed must
-        # keep loading: attach default (empty) history/metrics/tracer.
-        self.__dict__.update(state)
-        if "history" not in state:
-            self.history = JobHistory()
-            self.metrics = MetricsRegistry()
-            self.tracer = NullTracer()
-            self.runner.history = self.history
-            self.runner.metrics = self.metrics
-            self.runner.tracer = self.tracer
-
     # ------------------------------------------------------------------
     # Observability
     # ------------------------------------------------------------------

@@ -21,9 +21,9 @@ Format v3 is v2's header over a new payload: local R-trees pickle as
 flat MBR columns plus their record list, not as object graphs (see
 :mod:`repro.index.rtree`). A v2 file names classes v3 no longer has, so
 it is refused by its header with :class:`WorkspaceVersionError` before
-any unpickling; there is no converter — recreate the workspace.
-
-Plain pickles with no header still load through the legacy path.
+any unpickling; there is no converter — recreate the workspace. A file
+without the header (such as a bare pickle) is refused the same way,
+without unpickling it.
 """
 
 from __future__ import annotations
@@ -107,11 +107,11 @@ def load_workspace(
 ) -> Any:
     """Load a workspace from ``path``, verifying header and checksum.
 
-    Accepts current-format files and legacy headerless pickles. Raises
+    Accepts current-format files only. Raises
     :class:`WorkspaceCorruptError` on truncation/bit-rot,
-    :class:`WorkspaceVersionError` on any other format version, and
-    :class:`WorkspaceTypeError` when the decoded object is not an
-    instance of ``expected_type``.
+    :class:`WorkspaceVersionError` on a missing header or any other
+    format version, and :class:`WorkspaceTypeError` when the decoded
+    object is not an instance of ``expected_type``.
     """
     path = Path(path)
     try:
@@ -119,10 +119,12 @@ def load_workspace(
     except OSError as exc:
         raise WorkspaceError(f"cannot read workspace {path}: {exc}") from exc
 
-    if raw.startswith(MAGIC):
-        obj = _load_framed(path, raw)
-    else:
-        obj = _load_legacy(path, raw)
+    if not raw.startswith(MAGIC):
+        raise WorkspaceVersionError(
+            f"{path} is not a repro workspace (no REPROWS header); "
+            "recreate the workspace"
+        )
+    obj = _load_framed(path, raw)
 
     if expected_type is not None and not isinstance(obj, expected_type):
         raise WorkspaceTypeError(
@@ -169,18 +171,6 @@ def _load_framed(path: Path, raw: bytes) -> Any:
             f"workspace {path} passed its checksum but failed to "
             f"decode ({type(exc).__name__}: {exc}); it was likely "
             "written by an incompatible release"
-        ) from exc
-
-
-def _load_legacy(path: Path, raw: bytes) -> Any:
-    # Headerless files are bare pickles with no integrity data; decode
-    # failures here mean truncation or corruption we cannot distinguish.
-    try:
-        return _unpickle(raw)
-    except Exception as exc:
-        raise WorkspaceCorruptError(
-            f"workspace {path} is corrupt or truncated "
-            f"({type(exc).__name__}: {exc})"
         ) from exc
 
 

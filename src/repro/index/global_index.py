@@ -95,9 +95,9 @@ class GlobalIndex:
         """Cells whose MBR intersects ``rect`` (closed semantics)."""
         # Presence pre-filter: every cell's MBR is rasterized into the
         # bitmap, so a negative answer is exact ([] either way) and the
-        # result cannot depend on whether the bitmap exists (legacy
-        # pickles restore without one).
-        presence = getattr(self, "presence", None)
+        # result cannot depend on whether the bitmap exists (an empty
+        # index has none).
+        presence = self.presence
         if presence is not None and not presence.may_overlap(rect):
             return []
         return [c for c in self.cells if c.mbr.intersects(rect)]

@@ -66,14 +66,18 @@ import shutil
 import struct
 import time
 import zlib
+from dataclasses import replace
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.workspace import atomic_write
+from repro.mapreduce.types import TaskResult
 
 #: Wave-file magic; deliberately the same length as the workspace magic.
 MAGIC = b"REPROCKP"
-FORMAT_VERSION = 1
+#: v2: task results are :class:`~repro.mapreduce.types.TaskResult`
+#: records, not positional tuples. A v1 file replays as a cache miss.
+FORMAT_VERSION = 2
 #: Header after the magic: version (u8), payload CRC-32 (u32), length (u64).
 _HEADER = struct.Struct(">BIQ")
 
@@ -264,12 +268,17 @@ def _pack_list(lst: list) -> Any:
 def _pack(obj: Any) -> Any:
     """Shallow structural walk swapping bulk record lists for columns.
 
-    Tuples (the per-task data records) and small dicts (the wave record
-    itself, counter maps) are walked; lists first try the bulk encodings
-    and are only walked element-wise while small. Scalars and everything
-    exotic pass through to plain pickle.
+    Tuples and small dicts (the wave record itself) are walked, and a
+    :class:`TaskResult` has its ``emitted`` and ``output`` record lists
+    packed; lists first try the bulk encodings and are only walked
+    element-wise while small. Scalars and everything exotic pass through
+    to plain pickle.
     """
     t = type(obj)
+    if t is TaskResult:
+        return replace(
+            obj, emitted=_pack(obj.emitted), output=_pack(obj.output)
+        )
     if t is tuple:
         return tuple(_pack(e) for e in obj)
     if t is list:
@@ -346,10 +355,10 @@ def read_checkpoint_file(path: Path) -> Any:
             f"checkpoint {path} is truncated (incomplete header)"
         )
     version, crc, length = _HEADER.unpack(raw[len(MAGIC):header_end])
-    if version > FORMAT_VERSION:
+    if version != FORMAT_VERSION:
         raise CheckpointCorruptError(
             f"checkpoint {path} uses format v{version}; this release "
-            f"reads up to v{FORMAT_VERSION}"
+            f"reads only v{FORMAT_VERSION}"
         )
     payload = raw[header_end:]
     if len(payload) != length:

@@ -48,8 +48,7 @@ class TaskStats:
     ``seconds`` is the CPU charge of the *winning* attempt (the one whose
     output the job used). ``attempts`` records the full attempt history
     when anything interesting happened — retries, timeouts, speculation —
-    and stays empty for the common clean single-attempt case, so
-    histories pickled before fault tolerance existed keep loading.
+    and stays empty for the common clean single-attempt case.
     """
 
     task_id: str

@@ -255,9 +255,10 @@ class ColumnarPayload:
 def payload_of(block, expected_count: Optional[int] = None):
     """The block's usable columnar payload, or None.
 
-    None when the block has no payload (legacy pickle, heterogeneous
-    records), when vectorization is disabled, or when the payload has
-    gone stale relative to the record list it was sealed over.
+    None when the block has no payload (its records are not all points
+    or all rectangles), when vectorization is disabled, or when the
+    payload has gone stale relative to the record list it was sealed
+    over.
     """
     payload = getattr(block, "columnar", None)
     if payload is None or not vectorized.enabled():

@@ -228,12 +228,6 @@ class ParallelExecutor(Executor):
         state["_pool"] = None
         return state
 
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        # Executors pickled before degraded-mode recovery existed.
-        self.__dict__.setdefault("pool_rebuilds", 0)
-        self.__dict__.setdefault("blacklisted", False)
-
     # -- pool management --------------------------------------------------
     def _ensure_pool(self):
         if self._pool is None:

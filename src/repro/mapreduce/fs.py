@@ -109,20 +109,6 @@ class FileSystem:
             num_nodes=num_datanodes, replication=replication
         )
 
-    def __setstate__(self, state):
-        # Workspaces pickled before the durable storage layer existed
-        # must keep loading: attach a default manager and adopt (seal +
-        # place) every existing block.
-        self.__dict__.update(state)
-        if "storage" not in state:
-            self.storage = StorageManager()
-            for entry in self._files.values():
-                self.storage.seal_file(entry)
-        # Workspaces pickled before namespace versioning existed.
-        if "_versions" not in state:
-            self._versions = {name: 1 for name in self._files}
-            self._mutation_count = len(self._files)
-
     # ------------------------------------------------------------------
     # Namespace operations
     # ------------------------------------------------------------------

@@ -70,7 +70,7 @@ from repro.mapreduce.job import (
     ReduceContext,
     default_partitioner,
 )
-from repro.mapreduce.types import InputSplit
+from repro.mapreduce.types import InputSplit, TaskResult
 from repro.observe.history import JobHistory
 from repro.observe.metrics import (
     BACKOFF_SECONDS_BUCKETS,
@@ -100,8 +100,8 @@ DEFAULT_SLOW_TASK_FACTOR = 2.0
 #: Below this many tasks a median is meaningless; no speculation.
 MIN_SPECULATION_TASKS = 3
 
-#: Marker returned by an attempt the fault plan scripted to corrupt —
-#: deliberately not a valid task-result tuple.
+#: Returned by an attempt the fault plan scripted to corrupt —
+#: deliberately not a :class:`TaskResult`.
 _CORRUPTED_RESULT = "\x00corrupted-task-result\x00"
 
 
@@ -224,18 +224,30 @@ class _WavePolicy:
 # executor can ship them to worker processes; the serial executor calls
 # the very same code, which is what guarantees backend equivalence.
 #
-# Each chunk is a list of (wave_index, attempt, item) triples, and each
-# task yields a *marker*:
-#
-#   ("ok",  wave_index, attempt, data)                      — data is the
-#       usual 8-tuple (task_id, records_in, counters_dict, emitted,
-#       output, seconds, events, phases);
-#   ("err", wave_index, attempt, outcome, error, seconds)   — the attempt
-#       failed; ``error`` is the exception (wrapped if unpicklable).
-#
-# Exceptions never propagate out of a chunk: the driver's wave supervisor
-# decides whether an attempt is retried or fails the job.
+# Each chunk is a list of (wave_index, attempt, item) triples, and yields
+# one (wave_index, attempt, result) triple per attempt. ``result`` is the
+# attempt's :class:`TaskResult`, or a :class:`_TaskFailure` when it
+# failed. Exceptions never propagate out of a chunk: the driver's wave
+# supervisor decides whether an attempt is retried or fails the job.
 # ----------------------------------------------------------------------
+@dataclass
+class _TaskFailure:
+    """A failed task attempt: how it failed, why, and its CPU charge.
+
+    ``outcome`` is a :class:`TaskAttempt` outcome (``crash``,
+    ``worker-lost``, ``timeout`` or ``corrupt``); ``error`` is the
+    exception, wrapped if it could not cross a process boundary.
+    """
+
+    outcome: str
+    error: Optional[Exception]
+    seconds: float = 0.0
+
+    def describe(self) -> str:
+        error = self.error
+        return f"{type(error).__name__}: {error}" if error is not None else ""
+
+
 def _noop_map(_key: Any, _records: Any, _ctx: Any) -> None:  # pragma: no cover
     """Placeholder map function for reduce-wave job shipping."""
 
@@ -302,10 +314,9 @@ def _combine(
     return ctx._emitted
 
 
-def _map_task_data(job: Job, reader, split: InputSplit):
-    """Execute one map task; returns its 8-tuple result."""
-    counters = Counters()
-    ctx = MapContext(job, counters, split)
+def _map_task_data(job: Job, reader, split: InputSplit) -> TaskResult:
+    """Execute one map task."""
+    ctx = MapContext(job, Counters(), split)
     with _profiler.task_scope(job.config.get("profile", False)) as phases:
         started = _task_clock()
         key, records = reader(split)
@@ -313,26 +324,18 @@ def _map_task_data(job: Job, reader, split: InputSplit):
         emitted = ctx._emitted
         raw_emitted = len(emitted)
         if job.combine_fn is not None and emitted:
-            emitted = _combine(job, counters, emitted)
+            emitted = _combine(job, ctx.counters, emitted)
         elapsed = _task_clock() - started
-    counters.increment(Counter.MAP_INPUT_RECORDS, len(records))
-    counters.increment(Counter.MAP_OUTPUT_RECORDS, raw_emitted)
-    return (
-        f"map-{split.block_index}",
-        len(records),
-        counters.as_dict(),
-        emitted,
-        ctx._output,
-        elapsed,
-        ctx._events,
-        dict(phases),
+    ctx.counters.increment(Counter.MAP_INPUT_RECORDS, len(records))
+    ctx.counters.increment(Counter.MAP_OUTPUT_RECORDS, raw_emitted)
+    return _task_result(
+        f"map-{split.block_index}", ctx, len(records), emitted, elapsed, phases
     )
 
 
-def _reduce_task_data(job: Job, task_index: int, items):
-    """Execute one reduce task; returns its 8-tuple result."""
-    counters = Counters()
-    ctx = ReduceContext(job, counters, task_index)
+def _reduce_task_data(job: Job, task_index: int, items) -> TaskResult:
+    """Execute one reduce task."""
+    ctx = ReduceContext(job, Counters(), task_index)
     with _profiler.task_scope(job.config.get("profile", False)) as phases:
         started = _task_clock()
         # Hadoop sorts by key before reducing; keep that contract for
@@ -341,29 +344,39 @@ def _reduce_task_data(job: Job, task_index: int, items):
             job.reduce_fn(k, values, ctx)  # type: ignore[misc]
         elapsed = _task_clock() - started
     records_in = sum(len(values) for _, values in items)
-    counters.increment(Counter.REDUCE_INPUT_RECORDS, records_in)
-    counters.increment(
+    ctx.counters.increment(Counter.REDUCE_INPUT_RECORDS, records_in)
+    ctx.counters.increment(
         Counter.REDUCE_OUTPUT_RECORDS, len(ctx._emitted) + len(ctx._output)
     )
-    return (
-        task_index,
-        records_in,
-        counters.as_dict(),
-        ctx._emitted,
-        ctx._output,
-        elapsed,
-        ctx._events,
-        dict(phases),
+    return _task_result(
+        f"reduce-{task_index}", ctx, records_in, ctx._emitted, elapsed, phases
+    )
+
+
+def _task_result(task_id, ctx, records_in, emitted, seconds, phases):
+    """The shared tail of both task bodies: package what ``ctx`` saw."""
+    return TaskResult(
+        task_id=task_id,
+        records_in=records_in,
+        counters=ctx.counters.as_dict(),
+        emitted=emitted,
+        output=ctx._output,
+        seconds=seconds,
+        events=ctx._events,
+        phases=dict(phases),
     )
 
 
 def _run_attempt(job: Job, wave: str, index: int, attempt: int, body):
     """One task attempt, fault plan consulted, exceptions captured.
 
-    A scripted ``kill`` terminates the worker process for real
-    (exercising pool recovery); in the driver process — the serial
-    backend, or a pool fallback — it degrades to a ``worker-lost``
-    failure so every backend records the same attempt history.
+    Returns the attempt's :class:`TaskResult`, a :class:`_TaskFailure`,
+    or — when the plan scripts a ``corrupt`` fault — a deliberately
+    invalid result. A scripted ``kill`` terminates the worker process
+    for real (exercising pool recovery); in the driver process — the
+    serial backend, or a pool fallback — it degrades to a
+    ``worker-lost`` failure so every backend records the same attempt
+    history.
     """
     plan = job.config.get("faults")
     spec = plan.lookup(wave, index, attempt) if plan is not None else None
@@ -373,28 +386,26 @@ def _run_attempt(job: Job, wave: str, index: int, attempt: int, body):
                 import os
 
                 os._exit(137)
-            error = WorkerKilled(
+            return _TaskFailure("worker-lost", WorkerKilled(
                 f"injected worker kill at {wave}[{index}] attempt {attempt}"
-            )
-            return ("err", index, attempt, "worker-lost", error, 0.0)
+            ))
         if spec.kind == "crash":
-            error = InjectedFault(
+            return _TaskFailure("crash", InjectedFault(
                 f"injected crash at {wave}[{index}] attempt {attempt}"
-            )
-            return ("err", index, attempt, "crash", error, 0.0)
+            ))
     try:
         data = body()
     except Exception as exc:  # noqa: BLE001 - supervisor decides the fate
-        return ("err", index, attempt, "crash", _shippable_error(exc), 0.0)
+        return _TaskFailure("crash", _shippable_error(exc))
     if spec is not None:
         if spec.kind == "hang":
             # Inflate the CPU charge: the attempt "ran" for spec.seconds
             # longer, which trips per-attempt timeouts and makes the
             # task a straggler for speculation.
-            data = data[:5] + (data[5] + spec.seconds,) + data[6:]
-        elif spec.kind == "corrupt":
-            return ("ok", index, attempt, _CORRUPTED_RESULT)
-    return ("ok", index, attempt, data)
+            return replace(data, seconds=data.seconds + spec.seconds)
+        if spec.kind == "corrupt":
+            return _CORRUPTED_RESULT
+    return data
 
 
 def _shippable_error(exc: Exception) -> Exception:
@@ -406,59 +417,33 @@ def _shippable_error(exc: Exception) -> Exception:
         return RemoteTaskError(f"{type(exc).__name__}: {exc}")
 
 
-def _run_map_chunk(payload):
-    """Execute one chunk of map-task attempts; one marker per attempt.
+def _run_chunk(job: Job, wave: str, tasks, body) -> List[Tuple[int, int, Any]]:
+    """Execute one chunk of task attempts; one result triple per attempt.
 
     The ``check_active`` poll is the cooperative-cancellation task
     boundary: in the driver process (serial backend, pool fallbacks) it
     raises between tasks when a signal or deadline asked the run to
     stop; worker processes never arm a token, so there it is a no-op.
     """
-    job, reader, tasks = payload
-    markers = []
-    for index, attempt, split in tasks:
+    results = []
+    for index, attempt, item in tasks:
         check_active()
-        markers.append(
-            _run_attempt(
-                job, "map", index, attempt,
-                lambda: _map_task_data(job, reader, split),
-            )
-        )
-    return markers
+        result = _run_attempt(job, wave, index, attempt, lambda: body(item))
+        results.append((index, attempt, result))
+    return results
+
+
+def _run_map_chunk(payload):
+    job, reader, tasks = payload
+    return _run_chunk(
+        job, "map", tasks, lambda split: _map_task_data(job, reader, split)
+    )
 
 
 def _run_reduce_chunk(payload):
-    """Execute one chunk of reduce-task attempts; one marker per attempt."""
     job, tasks = payload
-    markers = []
-    for index, attempt, (task_index, items) in tasks:
-        check_active()
-        markers.append(
-            _run_attempt(
-                job, "reduce", index, attempt,
-                lambda: _reduce_task_data(job, task_index, items),
-            )
-        )
-    return markers
-
-
-def _valid_task_data(data: Any) -> bool:
-    """Driver-side result validation: is this a well-formed task result?
-
-    Catches corrupted results (injected or real) before they can poison
-    the merge; an invalid result fails the attempt, which is then
-    retried like any other failure.
-    """
-    return (
-        isinstance(data, tuple)
-        and len(data) == 8
-        and isinstance(data[1], int)
-        and isinstance(data[2], dict)
-        and isinstance(data[3], list)
-        and isinstance(data[4], list)
-        and isinstance(data[5], float)
-        and isinstance(data[6], list)
-        and isinstance(data[7], dict)
+    return _run_chunk(
+        job, "reduce", tasks, lambda item: _reduce_task_data(job, *item)
     )
 
 
@@ -576,29 +561,6 @@ class JobRunner:
         state["_wave_ordinal"] = 0
         state["_driver_fired"] = set()
         return state
-
-    def __setstate__(self, state):
-        # Workspaces pickled before the observability / fault-tolerance
-        # layers existed must keep loading; fill in the defaults.
-        self.__dict__.update(state)
-        self.__dict__.setdefault("tracer", _NULL_TRACER)
-        self.__dict__.setdefault("metrics", None)
-        self.__dict__.setdefault("history", None)
-        self.__dict__.setdefault("progress", None)
-        self.__dict__.setdefault("max_attempts", DEFAULT_MAX_ATTEMPTS)
-        self.__dict__.setdefault("task_timeout", None)
-        self.__dict__.setdefault("speculative", False)
-        self.__dict__.setdefault("slow_task_factor", DEFAULT_SLOW_TASK_FACTOR)
-        self.__dict__.setdefault("faults", None)
-        self.__dict__.setdefault("_storage_fired", set())
-        self.__dict__.setdefault("_pending_repair_s", 0.0)
-        self.__dict__.setdefault("profile", None)
-        self.__dict__.setdefault("telemetry", None)
-        self.__dict__.setdefault("eventlog", None)
-        self.__dict__.setdefault("checkpoint", None)
-        self.__dict__.setdefault("cancellation", None)
-        self.__dict__.setdefault("_wave_ordinal", 0)
-        self.__dict__.setdefault("_driver_fired", set())
 
     def set_tracer(self, tracer) -> None:
         """Swap the tracer (pass ``None`` to disable tracing)."""
@@ -1084,10 +1046,10 @@ class JobRunner:
     ):
         """Run every task of one wave to a successful attempt.
 
-        Returns ``(datas, attempts, summary)``: the winning 7-tuple per
-        task (wave order), the attempt history per task, and the wave's
-        fault-activity counts. Raises the original task error once a
-        task exhausts ``max_attempts``.
+        Returns ``(datas, attempts, summary)``: the winning
+        :class:`TaskResult` per task (wave order), the attempt history
+        per task, and the wave's fault-activity counts. Raises the
+        original task error once a task exhausts ``max_attempts``.
 
         Retries are batched: each round re-dispatches every task that
         failed the previous round, with its simulated backoff charged to
@@ -1123,10 +1085,11 @@ class JobRunner:
             failed: List[Tuple[int, Exception]] = []
             tasks = [(i, attempt, items[i]) for i, attempt in pending]
             self._count_injections(wave, pending, policy, summary)
-            for marker in self._dispatch(executor, chunk_fn, make_payload,
-                                         tasks):
-                self._absorb(marker, datas, attempts, backoff_due, failed,
-                             policy, summary)
+            for i, attempt, result in self._dispatch(
+                executor, chunk_fn, make_payload, tasks
+            ):
+                self._absorb(i, attempt, result, datas, attempts,
+                             backoff_due, failed, policy, summary)
             pending = []
             for i, error in failed:
                 next_attempt = len(attempts[i])
@@ -1225,7 +1188,7 @@ class JobRunner:
     def _count_injections(wave, pending, policy, summary) -> None:
         """Count scripted faults about to fire in this dispatch round.
 
-        Counted driver-side from the plan (not from failure markers)
+        Counted driver-side from the plan (not from failure records)
         so every kind registers — including ``hang``, whose only
         worker-side trace is an inflated CPU charge, and ``kill``,
         whose chunk may be transparently re-dispatched by the pool.
@@ -1237,7 +1200,11 @@ class JobRunner:
                 summary["faults_injected"] += 1
 
     def _dispatch(self, executor, chunk_fn, make_payload, tasks):
-        """One round of task attempts through the executor; flat markers."""
+        """One round of task attempts through the executor.
+
+        Returns the flat ``(index, attempt, result)`` triples of every
+        chunk, in dispatch order.
+        """
         num_chunks = (
             executor.workers * CHUNKS_PER_WORKER
             if executor.workers > 1
@@ -1246,72 +1213,60 @@ class JobRunner:
         payloads = [
             make_payload(list(chunk)) for chunk in _chunked(tasks, num_chunks)
         ]
-        markers = []
+        results = []
         for chunk_result in executor.map_chunks(chunk_fn, payloads):
-            markers.extend(chunk_result)
-        return markers
+            results.extend(chunk_result)
+        return results
 
+    @staticmethod
     def _absorb(
-        self, marker, datas, attempts, backoff_due, failed, policy, summary
+        i, attempt, result, datas, attempts, backoff_due, failed, policy,
+        summary,
     ) -> None:
-        """Fold one attempt marker into the wave state."""
-        if marker[0] == "ok":
-            _, i, attempt, data = marker
-            if not _valid_task_data(data):
-                summary["corrupt"] += 1
-                error: Exception = TaskCorrupted(
-                    f"task attempt {attempt} returned an invalid result"
-                )
-                self._record_failure(
-                    i, attempt, "corrupt", error, 0.0,
-                    attempts, backoff_due, failed,
-                )
-                return
-            seconds = data[5]
-            timeout = policy.task_timeout
-            if timeout is not None and seconds > timeout:
-                summary["timeouts"] += 1
-                error = TaskTimeoutError(
-                    f"task attempt {attempt} charged {seconds:.3f}s CPU, "
-                    f"over the {timeout:.3f}s per-attempt timeout"
-                )
-                self._record_failure(
-                    i, attempt, "timeout", error, seconds,
-                    attempts, backoff_due, failed,
-                )
-                return
-            datas[i] = data
+        """Fold one attempt's result into the wave state.
+
+        An attempt fails when it reports a :class:`_TaskFailure`, when
+        its result is not a :class:`TaskResult` (corrupted, injected or
+        real — caught before it can poison the merge), or when it
+        charged more CPU than the per-attempt timeout.
+        """
+        timeout = policy.task_timeout
+        if isinstance(result, _TaskFailure):
+            summary["worker_lost" if result.outcome == "worker-lost" else
+                    "crashes"] += 1
+            failure = result
+        elif not isinstance(result, TaskResult):
+            summary["corrupt"] += 1
+            failure = _TaskFailure("corrupt", TaskCorrupted(
+                f"task attempt {attempt} returned an invalid result"
+            ))
+        elif timeout is not None and result.seconds > timeout:
+            summary["timeouts"] += 1
+            failure = _TaskFailure("timeout", TaskTimeoutError(
+                f"task attempt {attempt} charged {result.seconds:.3f}s CPU, "
+                f"over the {timeout:.3f}s per-attempt timeout"
+            ), result.seconds)
+        else:
+            datas[i] = result
             attempts[i].append(
                 TaskAttempt(
                     attempt=attempt,
                     outcome="success",
-                    seconds=seconds,
+                    seconds=result.seconds,
                     backoff_s=backoff_due.pop(i, 0.0),
                 )
             )
-        else:
-            _, i, attempt, outcome, error, seconds = marker
-            summary["worker_lost" if outcome == "worker-lost" else
-                    "crashes"] += 1
-            self._record_failure(
-                i, attempt, outcome, error, seconds,
-                attempts, backoff_due, failed,
-            )
-
-    @staticmethod
-    def _record_failure(
-        i, attempt, outcome, error, seconds, attempts, backoff_due, failed
-    ) -> None:
+            return
         attempts[i].append(
             TaskAttempt(
                 attempt=attempt,
-                outcome=outcome,
-                seconds=seconds,
+                outcome=failure.outcome,
+                seconds=failure.seconds,
                 backoff_s=backoff_due.pop(i, 0.0),
-                error=f"{type(error).__name__}: {error}",
+                error=failure.describe(),
             )
         )
-        failed.append((i, error))
+        failed.append((i, failure.error))
 
     def _speculate(
         self, wave, items, datas, attempts, make_payload, chunk_fn,
@@ -1342,55 +1297,45 @@ class JobRunner:
         self._count_injections(
             wave, [(i, a) for i, a, _ in tasks], policy, summary
         )
-        for marker in self._dispatch(executor, chunk_fn, make_payload, tasks):
-            self._absorb_backup(marker, datas, attempts)
+        for i, attempt, result in self._dispatch(
+            executor, chunk_fn, make_payload, tasks
+        ):
+            self._absorb_backup(i, attempt, result, datas, attempts)
 
     @staticmethod
-    def _absorb_backup(marker, datas, attempts) -> None:
-        """Fold one speculative-backup marker in; failures are free.
+    def _absorb_backup(i, attempt, result, datas, attempts) -> None:
+        """Fold one speculative backup's result in; failures are free.
 
         The primary attempt already succeeded, so a failed or corrupted
         backup is recorded and ignored — speculation can never make a
         wave fail.
         """
-        i, attempt = marker[1], marker[2]
-        if marker[0] == "ok" and _valid_task_data(marker[3]):
-            data = marker[3]
-            seconds = data[5]
+        if isinstance(result, TaskResult):
             primary = attempts[i][-1]
-            if seconds < primary.seconds:
+            won = result.seconds < primary.seconds
+            if won:
                 primary.outcome = "speculative-lost"
-                attempts[i].append(
-                    TaskAttempt(
-                        attempt=attempt,
-                        outcome="success",
-                        seconds=seconds,
-                        speculative=True,
-                    )
-                )
-                datas[i] = data
-            else:
-                attempts[i].append(
-                    TaskAttempt(
-                        attempt=attempt,
-                        outcome="speculative-lost",
-                        seconds=seconds,
-                        speculative=True,
-                    )
-                )
-        else:
-            outcome = marker[3] if marker[0] == "err" else "corrupt"
-            error = marker[4] if marker[0] == "err" else None
-            seconds = marker[5] if marker[0] == "err" else 0.0
+                datas[i] = result
             attempts[i].append(
                 TaskAttempt(
                     attempt=attempt,
-                    outcome=outcome,
-                    seconds=seconds,
+                    outcome="success" if won else "speculative-lost",
+                    seconds=result.seconds,
                     speculative=True,
-                    error=f"{type(error).__name__}: {error}" if error else "",
                 )
             )
+            return
+        if not isinstance(result, _TaskFailure):
+            result = _TaskFailure("corrupt", None)
+        attempts[i].append(
+            TaskAttempt(
+                attempt=attempt,
+                outcome=result.outcome,
+                seconds=result.seconds,
+                speculative=True,
+                error=result.describe(),
+            )
+        )
 
     # ------------------------------------------------------------------
     def _run_map_wave(
@@ -1405,68 +1350,18 @@ class JobRunner:
         profile: Optional[Dict[str, Dict[str, float]]] = None,
     ):
         intermediate: List[Tuple[Any, Any]] = []
-        stats: List[TaskStats] = []
-        summary = _new_summary()
         counters.increment(Counter.MAP_TASKS, len(splits))
         if not splits:
-            return stats, intermediate, summary
-
-        tracer = self.tracer
-        progress = self.progress
-        log = self.eventlog
-        if progress is not None:
-            progress.wave_started(job.name, "map", len(splits))
-        with tracer.span("wave:map", kind="wave", tasks=len(splits)) as wave:
-            shipped = _shipped_job(
-                job, wave="map", faults=policy.faults,
-                profile=policy.profile, log_level=policy.log_level,
-            )
-            datas, attempts, summary = self._execute_wave(
-                wave="map",
-                items=splits,
-                make_payload=lambda tasks: (shipped, reader, tasks),
-                chunk_fn=_run_map_chunk,
-                executor=executor,
-                policy=policy,
-                task_label=lambda i: f"map-{splits[i].block_index}",
-            )
-            self._trace_dispatch(executor)
-            self._charge_dispatch(executor, policy, profile)
-            _annotate_wave(wave, summary)
-            cursor = wave.start
-            for i, data in enumerate(datas):
-                task_id, records_in, cdict, emitted, out, secs, events = data[:7]
-                counters.merge_dict(cdict)
-                if policy.profile and profile is not None and data[7]:
-                    _profiler.merge_into(profile, data[7], "map")
-                stats.append(
-                    TaskStats(
-                        task_id=task_id,
-                        records_in=records_in,
-                        records_out=len(emitted) + len(out),
-                        seconds=secs,
-                        attempts=_final_attempts(attempts[i]),
-                    )
-                )
-                span_id = None
-                if tracer.enabled:
-                    cursor, span_id = self._trace_task(
-                        task_id, records_in, stats[-1].records_out,
-                        secs, events, cursor, stats[-1].attempts,
-                    )
-                if log is not None and events:
-                    log.absorb(
-                        events, job=job.name, wave="map",
-                        task=task_id, span=span_id,
-                    )
-                if progress is not None:
-                    progress.task_finished(
-                        "map", len(stats), len(splits),
-                        records_in, stats[-1].records_out,
-                    )
-                intermediate.extend(emitted)
-                output.extend(out)
-            self._log_wave(job.name, "map", len(stats), summary)
+            return [], intermediate, _new_summary()
+        stats, summary = self._fold_wave(
+            job, "map", splits,
+            make_payload=lambda shipped, tasks: (shipped, reader, tasks),
+            chunk_fn=_run_map_chunk,
+            task_label=lambda i: f"map-{splits[i].block_index}",
+            emit=intermediate.extend,
+            counters=counters, output=output, executor=executor,
+            policy=policy, profile=profile,
+        )
         return stats, intermediate, summary
 
     def _run_reduce_wave(
@@ -1491,69 +1386,87 @@ class JobRunner:
             if bucket
         ]
         counters.increment(Counter.REDUCE_TASKS, len(tasks))
-        stats: List[TaskStats] = []
-        summary = _new_summary()
         if not tasks:
-            return stats, summary
+            return [], _new_summary()
+        # Reduce emit() goes to the job output (no later stage).
+        return self._fold_wave(
+            job, "reduce", tasks,
+            make_payload=lambda shipped, ts: (shipped, ts),
+            chunk_fn=_run_reduce_chunk,
+            task_label=lambda i: f"reduce-{tasks[i][0]}",
+            emit=lambda pairs: output.extend(v for _, v in pairs),
+            counters=counters, output=output, executor=executor,
+            policy=policy, profile=profile,
+        )
 
+    def _fold_wave(
+        self, job: Job, wave: str, items: Sequence[Any], *, make_payload,
+        chunk_fn, task_label, emit: Callable[[List[Tuple[Any, Any]]], Any],
+        counters: Counters, output: List[Any], executor: Executor,
+        policy: _WavePolicy, profile: Optional[Dict[str, Dict[str, float]]],
+    ) -> Tuple[List[TaskStats], Dict[str, float]]:
+        """Run one wave and fold its task results into the job.
+
+        Results merge in wave (split/bucket) order, whichever backend ran
+        them: counters, phase profile, :class:`TaskStats`, the task's
+        trace span and event-log records, progress, then its data. Each
+        task's emitted pairs go to ``emit``; its direct output joins
+        ``output``.
+        """
         tracer = self.tracer
         progress = self.progress
         log = self.eventlog
+        n = len(items)
         if progress is not None:
-            progress.wave_started(job.name, "reduce", len(tasks))
-        with tracer.span("wave:reduce", kind="wave", tasks=len(tasks)) as wave:
+            progress.wave_started(job.name, wave, n)
+        with tracer.span(f"wave:{wave}", kind="wave", tasks=n) as span:
             shipped = _shipped_job(
-                job, wave="reduce", faults=policy.faults,
+                job, wave=wave, faults=policy.faults,
                 profile=policy.profile, log_level=policy.log_level,
             )
             datas, attempts, summary = self._execute_wave(
-                wave="reduce",
-                items=tasks,
-                make_payload=lambda ts: (shipped, ts),
-                chunk_fn=_run_reduce_chunk,
+                wave=wave,
+                items=items,
+                make_payload=lambda tasks: make_payload(shipped, tasks),
+                chunk_fn=chunk_fn,
                 executor=executor,
                 policy=policy,
-                task_label=lambda i: f"reduce-{tasks[i][0]}",
+                task_label=task_label,
             )
             self._trace_dispatch(executor)
             self._charge_dispatch(executor, policy, profile)
-            _annotate_wave(wave, summary)
-            cursor = wave.start
-            for i, data in enumerate(datas):
-                task_index, records_in, cdict, emitted, out, secs, events = data[:7]
-                counters.merge_dict(cdict)
-                if policy.profile and profile is not None and data[7]:
-                    _profiler.merge_into(profile, data[7], "reduce")
-                stats.append(
-                    TaskStats(
-                        task_id=f"reduce-{task_index}",
-                        records_in=records_in,
-                        records_out=len(emitted) + len(out),
-                        seconds=secs,
-                        attempts=_final_attempts(attempts[i]),
-                    )
+            _annotate_wave(span, summary)
+            stats: List[TaskStats] = []
+            cursor = span.start
+            for data, tries in zip(datas, attempts):
+                counters.merge_dict(data.counters)
+                if policy.profile and profile is not None and data.phases:
+                    _profiler.merge_into(profile, data.phases, wave)
+                task = TaskStats(
+                    task_id=data.task_id,
+                    records_in=data.records_in,
+                    records_out=len(data.emitted) + len(data.output),
+                    seconds=data.seconds,
+                    attempts=_final_attempts(tries),
                 )
+                stats.append(task)
                 span_id = None
                 if tracer.enabled:
                     cursor, span_id = self._trace_task(
-                        f"reduce-{task_index}", records_in,
-                        stats[-1].records_out, secs, events, cursor,
-                        stats[-1].attempts,
+                        task, data.events, cursor
                     )
-                if log is not None and events:
+                if log is not None and data.events:
                     log.absorb(
-                        events, job=job.name, wave="reduce",
-                        task=f"reduce-{task_index}", span=span_id,
+                        data.events, job=job.name, wave=wave,
+                        task=data.task_id, span=span_id,
                     )
                 if progress is not None:
                     progress.task_finished(
-                        "reduce", len(stats), len(tasks),
-                        records_in, stats[-1].records_out,
+                        wave, len(stats), n, data.records_in, task.records_out
                     )
-                # Reduce emit() goes to the job output (no later stage).
-                output.extend(v for _, v in emitted)
-                output.extend(out)
-            self._log_wave(job.name, "reduce", len(stats), summary)
+                emit(data.emitted)
+                output.extend(data.output)
+            self._log_wave(job.name, wave, len(stats), summary)
         return stats, summary
 
     # ------------------------------------------------------------------
@@ -1565,11 +1478,9 @@ class JobRunner:
     # their task span; speculative ones are volatile because which copy
     # wins is timing-dependent by nature.
     # ------------------------------------------------------------------
-    def _trace_task(
-        self, task_id, records_in, records_out, secs, events, cursor,
-        attempts=(),
-    ) -> Tuple[float, int]:
-        attrs = {"records_in": records_in, "records_out": records_out}
+    def _trace_task(self, task: TaskStats, events, cursor) -> Tuple[float, int]:
+        task_id, secs, attempts = task.task_id, task.seconds, task.attempts
+        attrs = {"records_in": task.records_in, "records_out": task.records_out}
         if attempts:
             attrs["attempts"] = sum(
                 1 for a in attempts if not a.speculative

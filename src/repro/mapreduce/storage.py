@@ -468,11 +468,8 @@ def _check_block(name, index, block, storage, repair, report) -> int:
     stored = getattr(block, "checksum", None)
     # Rebuilt fresh from the current records (columnar bytes for
     # homogeneous blocks, pickled records otherwise) so in-place
-    # mutation is detected either way. Blocks sealed before the
-    # columnar format may carry the legacy pickle CRC; accept it.
+    # mutation is detected either way.
     actual = block_payload_checksum(block)
-    if stored != actual and stored == checksum_records(block.records):
-        actual = stored
     if stored != actual:
         if repair:
             block.checksum = actual

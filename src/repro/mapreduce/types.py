@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.mapreduce.fs import Block
 
@@ -32,3 +32,25 @@ class InputSplit:
     def cell(self) -> Optional[Any]:
         """The partition MBR for spatially partitioned files, else None."""
         return self.block.metadata.get("cell")
+
+
+@dataclass
+class TaskResult:
+    """What one successful map or reduce task attempt reports back.
+
+    Map and reduce tasks report the same things, as Hadoop tasks do:
+    their counters, records in, the ``(key, value)`` pairs they emitted,
+    the records they wrote straight to the job output, and their CPU
+    charge. ``events`` are the task's trace events and log records
+    (plain dicts, so they cross process boundaries); ``phases`` is its
+    profiled phase attribution (empty unless the job is profiled).
+    """
+
+    task_id: str
+    records_in: int
+    counters: Dict[str, int]
+    emitted: List[Tuple[Any, Any]]
+    output: List[Any]
+    seconds: float
+    events: List[Dict[str, Any]]
+    phases: Dict[str, Any]

@@ -124,19 +124,21 @@ class TestCorruption:
 
 
 class TestCompatibility:
-    def test_legacy_plain_pickle_still_loads(self, tmp_path):
-        sh = build("grid")
-        path = tmp_path / "legacy.pkl"
-        path.write_bytes(pickle.dumps(sh))
-        assert not is_workspace_file(path)
-        sh2 = load_workspace(path, expected_type=SpatialHadoop)
-        assert sh2.fs.num_records("pts") == 900
+    def test_headerless_files_are_refused_unread(self, tmp_path, monkeypatch):
+        def no_unpickling(_payload):
+            raise AssertionError("a headerless file must not be unpickled")
 
-    def test_corrupt_legacy_pickle_raises_structured_error(self, tmp_path):
+        monkeypatch.setattr("repro.core.workspace.pickle.loads", no_unpickling)
         path = tmp_path / "legacy.pkl"
-        path.write_bytes(b"not a pickle at all")
-        with pytest.raises(WorkspaceCorruptError):
-            load_workspace(path)
+        for raw in (b"not a pickle at all", pickle.dumps(build("grid"))):
+            path.write_bytes(raw)
+            assert not is_workspace_file(path)
+            with pytest.raises(
+                WorkspaceVersionError, match="no REPROWS header"
+            ) as info:
+                load_workspace(path, expected_type=SpatialHadoop)
+            assert "not a repro workspace" in str(info.value)
+            assert "recreate" in str(info.value)
 
     def test_foreign_object_raises_type_error(self, tmp_path):
         path = tmp_path / "other.pkl"

@@ -4,7 +4,10 @@ journal/replay/crash machinery."""
 
 import json
 import pickle
+import pickletools
 import signal
+import struct
+import zlib
 
 import pytest
 
@@ -28,7 +31,9 @@ from repro.mapreduce.checkpoint import (
     set_active_token,
     write_checkpoint_file,
 )
+from repro.mapreduce import FileSystem, Job, JobRunner
 from repro.mapreduce.faults import DriverFault, FaultPlan
+from repro.mapreduce.types import TaskResult
 
 
 # ----------------------------------------------------------------------
@@ -339,6 +344,72 @@ class TestRunnerCheckpointing:
         assert clone.runner.checkpoint is None
         assert clone.runner.cancellation is None
         assert clone.range_query("pts_idx", WINDOW).answer
+
+
+def _emit_points(_key, records, ctx):
+    for record in records:
+        ctx.emit(0, record)
+        ctx.write_output(record)
+
+
+def _journaled_point_run(directory):
+    """A map-only job over 100 points, journaled into ``directory``."""
+    fs = FileSystem(default_block_capacity=100)
+    fs.create_file("pts", [Point(float(i), 2.0 * i) for i in range(100)])
+    runner = JobRunner(fs)
+    manager = CheckpointManager.load(directory) if directory.exists() else (
+        CheckpointManager.create(directory, argv=["emit"])
+    )
+    runner.set_checkpoint(manager)
+    result = runner.run(Job(input_file="pts", map_fn=_emit_points))
+    return result, manager
+
+
+class TestTaskResultJournal:
+    def test_task_result_records_are_journaled_as_columns(self, tmp_path):
+        directory = tmp_path / "run.ckpt"
+        result, manager = _journaled_point_run(directory)
+        assert manager.waves_committed == 1
+        raw = (directory / "wave-00000.ckpt").read_bytes()
+        names = {
+            arg for _op, arg, _pos in pickletools.genops(raw[len(MAGIC) + 13:])
+            if isinstance(arg, str)
+        }
+        # The 100 emitted and 100 output Points travel as float columns:
+        # no Point object is pickled, the columnar thaw hook is.
+        assert "_thaw_records" in names
+        assert "Point" not in names
+        datas, _attempts, _summary = read_checkpoint_file(
+            directory / "wave-00000.ckpt"
+        )["payload"]
+        [task] = datas
+        assert isinstance(task, TaskResult)
+        assert task.task_id == "map-0"
+        assert task.output == result.output[:100]
+        assert task.emitted == [(0, p) for p in task.output]
+
+    def test_v1_wave_file_replays_as_a_miss(self, tmp_path):
+        directory = tmp_path / "run.ckpt"
+        clean, _ = _journaled_point_run(directory)
+        # Rewrite the journaled wave the way the v1 format framed it:
+        # positional task tuples under a version-1 header.
+        payload = pickle.dumps({
+            "fingerprint": "0|map|1",
+            "payload": ([("map-0", 100, {}, [], [], 0.0, [], {})], [[]], {}),
+        })
+        (directory / "wave-00000.ckpt").write_bytes(
+            MAGIC
+            + struct.pack(">BIQ", 1, zlib.crc32(payload), len(payload))
+            + payload
+        )
+        with pytest.raises(CheckpointCorruptError, match="format v1"):
+            read_checkpoint_file(directory / "wave-00000.ckpt")
+
+        again, manager = _journaled_point_run(directory)
+        assert manager.waves_replayed == 0
+        assert [index for index, _ in manager.corrupt_skipped] == [0]
+        assert again.output == clean.output
+        assert again.counters.as_dict() == clean.counters.as_dict()
 
 
 class TestExecutorShutdownGuards:

@@ -11,7 +11,7 @@ from repro.mapreduce.columnar import (
     block_payload_checksum,
     payload_of,
 )
-from repro.mapreduce.storage import checksum_records, run_fsck
+from repro.mapreduce.storage import run_fsck
 
 POINTS = [Point(float(i), float(i) * 2.0) for i in range(40)]
 RECTS = [
@@ -114,14 +114,6 @@ class TestStorageAdoption:
         monkeypatch.setenv(vectorized.VECTORIZE_ENV_VAR, seal_mode)
         fs = self.build_fs()
         monkeypatch.setenv(vectorized.VECTORIZE_ENV_VAR, check_mode)
-        report = run_fsck(fs)
-        assert report.healthy, report.issues
-
-    def test_fsck_accepts_legacy_record_checksums(self):
-        fs = self.build_fs()
-        for block in fs.get("pts").blocks:
-            block.checksum = checksum_records(block.records)
-            block.columnar = None
         report = run_fsck(fs)
         assert report.healthy, report.issues
 

@@ -143,18 +143,3 @@ class TestFileSystemVersions:
         fs.delete("a")
         clone = pickle.loads(pickle.dumps(fs))
         assert clone.version("a") == fs.version("a")
-
-    def test_legacy_pickles_get_synthesized_versions(self, fs):
-        """Workspaces written before versioning still invalidate sanely."""
-        import pickle
-
-        state = fs.__getstate__() if hasattr(fs, "__getstate__") else None
-        clone = pickle.loads(pickle.dumps(fs))
-        del state
-        legacy_state = clone.__dict__.copy()
-        legacy_state.pop("_versions", None)
-        legacy_state.pop("_mutation_count", None)
-        rebuilt = FileSystem.__new__(FileSystem)
-        rebuilt.__setstate__(legacy_state)
-        assert rebuilt.version("a") == 1
-        assert rebuilt.version("ghost") == 0
