@@ -124,21 +124,27 @@ class TestCorruption:
 
 
 class TestCompatibility:
-    def test_headerless_files_are_refused_unread(self, tmp_path, monkeypatch):
+    @staticmethod
+    def _assert_refused_unread(path, monkeypatch):
         def no_unpickling(_payload):
             raise AssertionError("a headerless file must not be unpickled")
 
         monkeypatch.setattr("repro.core.workspace.pickle.loads", no_unpickling)
+        assert not is_workspace_file(path)
+        with pytest.raises(WorkspaceVersionError, match="no REPROWS header") as info:
+            load_workspace(path, expected_type=SpatialHadoop)
+        assert "not a repro workspace" in str(info.value)
+        assert "recreate" in str(info.value)
+
+    def test_headerless_plain_pickle_is_refused_unread(self, tmp_path, monkeypatch):
         path = tmp_path / "legacy.pkl"
-        for raw in (b"not a pickle at all", pickle.dumps(build("grid"))):
-            path.write_bytes(raw)
-            assert not is_workspace_file(path)
-            with pytest.raises(
-                WorkspaceVersionError, match="no REPROWS header"
-            ) as info:
-                load_workspace(path, expected_type=SpatialHadoop)
-            assert "not a repro workspace" in str(info.value)
-            assert "recreate" in str(info.value)
+        path.write_bytes(pickle.dumps(build("grid")))
+        self._assert_refused_unread(path, monkeypatch)
+
+    def test_corrupt_legacy_pickle_raises_structured_error(self, tmp_path, monkeypatch):
+        path = tmp_path / "legacy.pkl"
+        path.write_bytes(b"not a pickle at all")
+        self._assert_refused_unread(path, monkeypatch)
 
     def test_foreign_object_raises_type_error(self, tmp_path):
         path = tmp_path / "other.pkl"
