@@ -666,19 +666,24 @@ def main(
     except ValueError as exc:  # e.g. a malformed REPRO_WORKERS value
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    if args.max_attempts is not None and args.max_attempts < 1:
+        print("error: --max-attempts must be >= 1", file=sys.stderr)
+        return 1
+    # Execution knobs are per-invocation choices, not workspace
+    # properties: the loaded values are restored before the save below.
+    runner = sh.runner
+    persisted = (
+        runner.executor, runner.max_attempts, runner.task_timeout,
+        runner.speculative,
+    )
     if args.workers is not None:
-        # A per-invocation execution choice, not a workspace property:
-        # workspaces saved under --workers replay fine without it.
-        sh.runner.set_workers(args.workers)
+        runner.set_workers(args.workers)
     if args.max_attempts is not None:
-        if args.max_attempts < 1:
-            print("error: --max-attempts must be >= 1", file=sys.stderr)
-            return 1
-        sh.runner.max_attempts = args.max_attempts
+        runner.max_attempts = args.max_attempts
     if args.task_timeout is not None:
-        sh.runner.task_timeout = args.task_timeout
+        runner.task_timeout = args.task_timeout
     if args.speculative:
-        sh.runner.speculative = True
+        runner.speculative = True
     # Chaos tooling is per-invocation by construction: the runner drops
     # its fault plan when the workspace is pickled, so the --faults flag
     # (or, failing that, $REPRO_FAULTS) is re-resolved on every command.
@@ -793,6 +798,10 @@ def main(
                 pass
         sh.runner.set_cancellation(None)
         sh.runner.close()
+        (
+            runner.executor, runner.max_attempts, runner.task_timeout,
+            runner.speculative,
+        ) = persisted
         # The reporter holds an open stderr handle; like a live tracer it
         # is per-invocation only and must never reach the pickle below.
         sh.disable_progress()

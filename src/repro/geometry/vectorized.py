@@ -4,12 +4,9 @@ The scalar geometry layer evaluates one predicate per Python call; the hot
 loops of range queries, joins and kNN evaluate the *same* predicate over
 every record of a block. This module provides the batch counterparts —
 range filter, MBR intersection, point-in-rect, squared distance — over
-columnar coordinate buffers (``repro.mapreduce.columnar``), with two
-backends:
-
-* **NumPy** when importable: one vectorized mask per block.
-* **array('d') fallback**: plain Python loops with locals bound outside
-  the loop, so the library works (slower) on a bare interpreter.
+columnar coordinate buffers (``repro.mapreduce.columnar``): one NumPy
+mask per block. The scalar oracle each kernel must match is the caller's
+own ``REPRO_VECTORIZE=0`` loop.
 
 Bit-identity contract
 ---------------------
@@ -41,13 +38,9 @@ oracle path.
 from __future__ import annotations
 
 import os
-from array import array
-from typing import List, Optional, Sequence
+from typing import List
 
-try:  # Optional dependency: everything below degrades to array('d').
-    import numpy as _np
-except Exception:  # pragma: no cover - exercised on numpy-free installs
-    _np = None
+import numpy as np
 
 #: Environment toggle: "0"/"false"/"off" disables the vectorized paths.
 VECTORIZE_ENV_VAR = "REPRO_VECTORIZE"
@@ -56,11 +49,9 @@ _OFF_VALUES = {"0", "false", "off", "no"}
 
 
 def mode() -> str:
-    """The active execution mode: ``"off"``, ``"numpy"`` or ``"array"``."""
+    """The active execution mode: ``"off"`` or ``"numpy"``."""
     raw = os.environ.get(VECTORIZE_ENV_VAR, "1").strip().lower()
-    if raw in _OFF_VALUES:
-        return "off"
-    return "numpy" if _np is not None else "array"
+    return "off" if raw in _OFF_VALUES else "numpy"
 
 
 def enabled() -> bool:
@@ -68,33 +59,9 @@ def enabled() -> bool:
     return mode() != "off"
 
 
-def has_numpy() -> bool:
-    return _np is not None
-
-
-def _is_np(a) -> bool:
-    return _np is not None and isinstance(a, _np.ndarray)
-
-
-def column_from_iter(values, count: int):
-    """Build one float64 column on the preferred backend."""
-    if _np is not None:
-        return _np.fromiter(values, dtype=_np.float64, count=count)
-    return array("d", values)
-
-
-def as_backend_array(seq) -> Sequence[float]:
-    """Coerce a float64 buffer to the preferred kernel backend, zero-copy.
-
-    NumPy views any buffer-protocol object (``array('d')``, ``memoryview``)
-    without copying; without NumPy the input is returned unchanged.
-    """
-    if _np is not None and not isinstance(seq, _np.ndarray):
-        try:
-            return _np.frombuffer(seq, dtype=_np.float64)
-        except (TypeError, ValueError):
-            return seq
-    return seq
+def column_from_iter(values, count: int) -> np.ndarray:
+    """Build one float64 column from ``count`` values."""
+    return np.fromiter(values, dtype=np.float64, count=count)
 
 
 # ----------------------------------------------------------------------
@@ -102,35 +69,20 @@ def as_backend_array(seq) -> Sequence[float]:
 # ----------------------------------------------------------------------
 def points_in_rect(xs, ys, rect) -> List[int]:
     """Indices ``i`` with ``rect.contains_point((xs[i], ys[i]))`` (closed)."""
-    if _is_np(xs):
-        mask = (
-            (xs >= rect.x1) & (xs <= rect.x2)
-            & (ys >= rect.y1) & (ys <= rect.y2)
-        )
-        return _np.flatnonzero(mask).tolist()
-    x1, y1, x2, y2 = rect.x1, rect.y1, rect.x2, rect.y2
-    return [
-        i
-        for i in range(len(xs))
-        if x1 <= xs[i] <= x2 and y1 <= ys[i] <= y2
-    ]
+    mask = (
+        (xs >= rect.x1) & (xs <= rect.x2)
+        & (ys >= rect.y1) & (ys <= rect.y2)
+    )
+    return np.flatnonzero(mask).tolist()
 
 
 def rects_intersect(x1s, y1s, x2s, y2s, rect) -> List[int]:
     """Indices of rectangles intersecting ``rect`` (closed semantics)."""
-    if _is_np(x1s):
-        mask = (
-            (x1s <= rect.x2) & (x2s >= rect.x1)
-            & (y1s <= rect.y2) & (y2s >= rect.y1)
-        )
-        return _np.flatnonzero(mask).tolist()
-    qx1, qy1, qx2, qy2 = rect.x1, rect.y1, rect.x2, rect.y2
-    return [
-        i
-        for i in range(len(x1s))
-        if x1s[i] <= qx2 and qx1 <= x2s[i]
-        and y1s[i] <= qy2 and qy1 <= y2s[i]
-    ]
+    mask = (
+        (x1s <= rect.x2) & (x2s >= rect.x1)
+        & (y1s <= rect.y2) & (y2s >= rect.y1)
+    )
+    return np.flatnonzero(mask).tolist()
 
 
 def points_in_rect_owned(xs, ys, rect, cell) -> List[int]:
@@ -140,82 +92,45 @@ def points_in_rect_owned(xs, ys, rect, cell) -> List[int]:
     max(y, rect.y1))``; ownership is the half-open containment test of
     :meth:`Rectangle.contains_point_left_inclusive` against ``cell``.
     """
-    if _is_np(xs):
-        rx = _np.maximum(xs, rect.x1)
-        ry = _np.maximum(ys, rect.y1)
-        mask = (
-            (xs >= rect.x1) & (xs <= rect.x2)
-            & (ys >= rect.y1) & (ys <= rect.y2)
-            & (rx >= cell.x1) & (rx < cell.x2)
-            & (ry >= cell.y1) & (ry < cell.y2)
-        )
-        return _np.flatnonzero(mask).tolist()
-    out = []
-    qx1, qy1, qx2, qy2 = rect.x1, rect.y1, rect.x2, rect.y2
-    cx1, cy1, cx2, cy2 = cell.x1, cell.y1, cell.x2, cell.y2
-    for i in range(len(xs)):
-        x = xs[i]
-        y = ys[i]
-        if not (qx1 <= x <= qx2 and qy1 <= y <= qy2):
-            continue
-        rx = x if x > qx1 else qx1
-        ry = y if y > qy1 else qy1
-        if cx1 <= rx < cx2 and cy1 <= ry < cy2:
-            out.append(i)
-    return out
+    rx = np.maximum(xs, rect.x1)
+    ry = np.maximum(ys, rect.y1)
+    mask = (
+        (xs >= rect.x1) & (xs <= rect.x2)
+        & (ys >= rect.y1) & (ys <= rect.y2)
+        & (rx >= cell.x1) & (rx < cell.x2)
+        & (ry >= cell.y1) & (ry < cell.y2)
+    )
+    return np.flatnonzero(mask).tolist()
 
 
 def rects_intersect_owned(x1s, y1s, x2s, y2s, rect, cell) -> List[int]:
     """Range filter + reference-point ownership for rectangle records."""
-    if _is_np(x1s):
-        rx = _np.maximum(x1s, rect.x1)
-        ry = _np.maximum(y1s, rect.y1)
-        mask = (
-            (x1s <= rect.x2) & (x2s >= rect.x1)
-            & (y1s <= rect.y2) & (y2s >= rect.y1)
-            & (rx >= cell.x1) & (rx < cell.x2)
-            & (ry >= cell.y1) & (ry < cell.y2)
-        )
-        return _np.flatnonzero(mask).tolist()
-    out = []
-    qx1, qy1, qx2, qy2 = rect.x1, rect.y1, rect.x2, rect.y2
-    cx1, cy1, cx2, cy2 = cell.x1, cell.y1, cell.x2, cell.y2
-    for i in range(len(x1s)):
-        if not (
-            x1s[i] <= qx2 and qx1 <= x2s[i]
-            and y1s[i] <= qy2 and qy1 <= y2s[i]
-        ):
-            continue
-        rx = x1s[i] if x1s[i] > qx1 else qx1
-        ry = y1s[i] if y1s[i] > qy1 else qy1
-        if cx1 <= rx < cx2 and cy1 <= ry < cy2:
-            out.append(i)
-    return out
+    rx = np.maximum(x1s, rect.x1)
+    ry = np.maximum(y1s, rect.y1)
+    mask = (
+        (x1s <= rect.x2) & (x2s >= rect.x1)
+        & (y1s <= rect.y2) & (y2s >= rect.y1)
+        & (rx >= cell.x1) & (rx < cell.x2)
+        & (ry >= cell.y1) & (ry < cell.y2)
+    )
+    return np.flatnonzero(mask).tolist()
 
 
 # ----------------------------------------------------------------------
 # Distance kernels (squared distances only: exact, rankable)
 # ----------------------------------------------------------------------
-def point_distance_sq(xs, ys, px: float, py: float):
+def point_distance_sq(xs, ys, px: float, py: float) -> np.ndarray:
     """Squared distance from every ``(xs[i], ys[i])`` to ``(px, py)``.
 
     Elementwise ``dx*dx + dy*dy``: identical rounding to the scalar
     :meth:`Point.distance_sq` / degenerate-MBR distance.
     """
-    if _is_np(xs):
-        dx = xs - px
-        dy = ys - py
-        return dx * dx + dy * dy
-    out = []
-    append = out.append
-    for i in range(len(xs)):
-        dx = xs[i] - px
-        dy = ys[i] - py
-        append(dx * dx + dy * dy)
-    return out
+    dx = xs - px
+    dy = ys - py
+    return dx * dx + dy * dy
 
 
-def rect_min_distance_sq(x1s, y1s, x2s, y2s, px: float, py: float):
+def rect_min_distance_sq(x1s, y1s, x2s, y2s, px: float, py: float) -> np.ndarray:
     """Squared minimum distance from ``(px, py)`` to every rectangle.
 
     Matches :meth:`Rectangle.min_distance_sq_point` exactly: the clamped
@@ -223,17 +138,9 @@ def rect_min_distance_sq(x1s, y1s, x2s, y2s, px: float, py: float):
     comparisons, and ``(-0.0)**2 == 0.0`` erases any signed-zero
     difference between ``max`` implementations.
     """
-    if _is_np(x1s):
-        dx = _np.maximum(_np.maximum(x1s - px, 0.0), px - x2s)
-        dy = _np.maximum(_np.maximum(y1s - py, 0.0), py - y2s)
-        return dx * dx + dy * dy
-    out = []
-    append = out.append
-    for i in range(len(x1s)):
-        dx = max(x1s[i] - px, 0.0, px - x2s[i])
-        dy = max(y1s[i] - py, 0.0, py - y2s[i])
-        append(dx * dx + dy * dy)
-    return out
+    dx = np.maximum(np.maximum(x1s - px, 0.0), px - x2s)
+    dy = np.maximum(np.maximum(y1s - py, 0.0), py - y2s)
+    return dx * dx + dy * dy
 
 
 def topk_by_distance(dsq, k: int) -> List[int]:
@@ -246,7 +153,4 @@ def topk_by_distance(dsq, k: int) -> List[int]:
     """
     if k <= 0:
         return []
-    if _is_np(dsq):
-        order = _np.argsort(dsq, kind="stable")
-        return order[:k].tolist()
-    return sorted(range(len(dsq)), key=lambda i: (dsq[i], i))[:k]
+    return np.argsort(dsq, kind="stable")[:k].tolist()

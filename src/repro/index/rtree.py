@@ -37,17 +37,13 @@ import heapq
 import itertools
 import math
 import zlib
-from array import array
 from dataclasses import dataclass
 from typing import Any, Iterator, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.geometry import Point, Rectangle, vectorized
 from repro.index.partitioners.base import shape_mbr
-
-try:  # Optional dependency: the pure-Python build below needs no NumPy.
-    import numpy as _np
-except Exception:  # pragma: no cover - exercised on numpy-free installs
-    _np = None
 
 DEFAULT_NODE_CAPACITY = 32
 
@@ -78,17 +74,6 @@ class RTreeEntry:
     record: Any
 
 
-# ----------------------------------------------------------------------
-# Backend helpers: NumPy when importable, plain lists otherwise. Both
-# sort stably and reduce with exact min/max, so they build the same tree.
-# ----------------------------------------------------------------------
-def _as_column(values):
-    """A float64 column (ndarray or ``array('d')``) holding ``values``."""
-    if _np is not None:
-        return _np.asarray(values, dtype=_np.float64)
-    return array("d", values)
-
-
 def _map_columns(fn, cols) -> tuple:
     """``fn`` over four MBR columns, keeping a shared x/y pair shared."""
     x1, y1 = fn(cols[0]), fn(cols[1])
@@ -97,50 +82,7 @@ def _map_columns(fn, cols) -> tuple:
     return (x1, y1, fn(cols[2]), fn(cols[3]))
 
 
-def _arange(n: int):
-    return _np.arange(n) if _np is not None else list(range(n))
-
-
-def _argsort_by(keys, idx):
-    """``idx`` reordered by ``keys[idx]``, stably (ties keep ``idx`` order)."""
-    if _np is not None:
-        return idx[_np.argsort(keys[idx], kind="stable")]
-    return sorted(idx, key=keys.__getitem__)
-
-
-def _take(col, idx):
-    if _np is not None:
-        return col[idx]
-    return [col[i] for i in idx]
-
-
-def _concat(pieces):
-    if _np is not None:
-        return _np.concatenate(pieces)
-    return [v for piece in pieces for v in piece]
-
-
-def _centres(lo, hi):
-    """Elementwise ``(lo + hi) / 2.0``, rounded like :attr:`Rectangle.center`."""
-    if _np is not None:
-        return (lo + hi) / 2.0
-    return [(a + b) / 2.0 for a, b in zip(lo, hi)]
-
-
-def _group_reduce(col, bounds: List[int], smallest: bool):
-    """Min (or max) of ``col[bounds[g]:bounds[g+1]]`` for every group ``g``."""
-    if _np is not None:
-        ufunc = _np.minimum if smallest else _np.maximum
-        return ufunc.reduceat(col, _np.asarray(bounds[:-1], dtype=_np.intp))
-    fn = min if smallest else max
-    return [fn(col[a:b]) for a, b in zip(bounds, bounds[1:])]
-
-
-def _tolist(values) -> list:
-    return values if isinstance(values, list) else values.tolist()
-
-
-def _str_order(cx, cy, capacity: int) -> Tuple[Any, List[int]]:
+def _str_order(cx, cy, capacity: int) -> Tuple[np.ndarray, List[int]]:
     """Sort-Tile-Recursive grouping of items ``0..n-1`` by their centres.
 
     Returns ``(order, bounds)``: group ``g`` is ``order[bounds[g]:
@@ -152,15 +94,16 @@ def _str_order(cx, cy, capacity: int) -> Tuple[Any, List[int]]:
     num_groups = math.ceil(n / capacity)
     num_slices = math.ceil(math.sqrt(num_groups))
     per_slice = math.ceil(n / num_slices)
-    by_x = _argsort_by(cx, _arange(n))
+    by_x = np.argsort(cx, kind="stable")
     pieces = []
     bounds = [0]
     for s in range(0, n, per_slice):
         end = min(s + per_slice, n)
-        pieces.append(_argsort_by(cy, by_x[s:end]))
+        piece = by_x[s:end]
+        pieces.append(piece[np.argsort(cy[piece], kind="stable")])
         bounds.extend(range(s + capacity, end, capacity))
         bounds.append(end)
-    return _concat(pieces), bounds
+    return np.concatenate(pieces), bounds
 
 
 class RTree:
@@ -225,14 +168,14 @@ class RTree:
         self._entries = None
         if n == 0:
             self._records = []
-            self._cols = tuple(_as_column([]) for _ in range(4))
-            self._node_cols = tuple(_as_column([]) for _ in range(4))
+            self._cols = tuple(np.empty(0) for _ in range(4))
+            self._node_cols = tuple(np.empty(0) for _ in range(4))
             self._starts: List[int] = []
             self._ends: List[int] = []
             self._first_leaf = 0
             self._depth = 0
             return
-        cols = _map_columns(_as_column, cols)
+        cols = _map_columns(lambda c: np.asarray(c, dtype=np.float64), cols)
 
         # Bottom-up: grouping j packs the level-(j-1) nodes (the entries,
         # for j == 0) into level-j nodes, whose MBRs are in construction
@@ -241,14 +184,16 @@ class RTree:
         level_mbrs = []
         mbrs = cols
         while True:
+            # Centres round like Rectangle.center: (lo + hi) / 2.0.
             order, bounds = _str_order(
-                _centres(mbrs[0], mbrs[2]),
-                _centres(mbrs[1], mbrs[3]),
+                (mbrs[0] + mbrs[2]) / 2.0,
+                (mbrs[1] + mbrs[3]) / 2.0,
                 self.node_capacity,
             )
             groupings.append((order, bounds))
+            starts_at = np.asarray(bounds[:-1], dtype=np.intp)
             mbrs = tuple(
-                _group_reduce(_take(c, order), bounds, smallest=i < 2)
+                (np.minimum if i < 2 else np.maximum).reduceat(c[order], starts_at)
                 for i, c in enumerate(mbrs)
             )
             level_mbrs.append(mbrs)
@@ -261,7 +206,7 @@ class RTree:
         stored = [[0]]  # per level, root first: construction indices
         for j in range(depth - 1, 0, -1):
             order, bounds = groupings[j]
-            order = _tolist(order)
+            order = order.tolist()
             stored.append(
                 [c for p in stored[-1] for c in order[bounds[p]:bounds[p + 1]]]
             )
@@ -280,7 +225,7 @@ class RTree:
         # Leaves take their entries in emission order: the depth-first
         # walk all_entries() and search() have always reported.
         leaf_order, leaf_bounds = groupings[0]
-        leaf_order = _tolist(leaf_order)
+        leaf_order = leaf_order.tolist()
         leaf_of = stored[-1]
         num_nodes = offsets[-1]
         starts.extend([0] * (num_nodes - first_leaf))
@@ -300,15 +245,13 @@ class RTree:
         self._records = [records[i] for i in perm]
         if given is not None:
             self._entries = [given[i] for i in perm]
-        self._cols = _map_columns(lambda c: _as_column(_take(c, perm)), cols)
+        self._cols = _map_columns(lambda c: c[perm], cols)
         self._node_cols = tuple(
-            _as_column(
-                _concat(
-                    [
-                        _take(mbrs[axis], level)
-                        for mbrs, level in zip(reversed(level_mbrs), stored)
-                    ]
-                )
+            np.concatenate(
+                [
+                    mbrs[axis][level]
+                    for mbrs, level in zip(reversed(level_mbrs), stored)
+                ]
             )
             for axis in range(4)
         )
@@ -321,8 +264,8 @@ class RTree:
     # Pickling: raw column bytes, int ranges and records — no objects
     # ------------------------------------------------------------------
     def _node_bytes(self) -> bytes:
-        return b"".join(c.tobytes() for c in self._node_cols) + array(
-            "q", self._starts + self._ends
+        return b"".join(c.tobytes() for c in self._node_cols) + np.array(
+            self._starts + self._ends, dtype=np.int64
         ).tobytes()
 
     def __reduce__(self):
@@ -371,9 +314,9 @@ class RTree:
         tree._node_cols = _columns_from(
             node_raw[: 4 * num_nodes * _FLOAT_SIZE], num_nodes, 4
         )
-        ints = array("q")
-        ints.frombytes(node_raw[4 * num_nodes * _FLOAT_SIZE:])
-        ints = ints.tolist()
+        ints = np.frombuffer(
+            node_raw, dtype=np.int64, offset=4 * num_nodes * _FLOAT_SIZE
+        ).tolist()
         tree._starts = ints[:num_nodes]
         tree._ends = ints[num_nodes:]
         return tree
@@ -405,7 +348,7 @@ class RTree:
         returns entries (``records=True`` queries never do)."""
         entries = self._entries
         if entries is None:
-            x1s, y1s, x2s, y2s = (_tolist(c) for c in self._cols)
+            x1s, y1s, x2s, y2s = (c.tolist() for c in self._cols)
             entries = self._entries = [
                 RTreeEntry(Rectangle(a, b, c, d), r)
                 for a, b, c, d, r in zip(x1s, y1s, x2s, y2s, self._records)
@@ -488,12 +431,10 @@ class RTree:
             is_leaf = i >= first_leaf
             if use_vec:
                 x1s, y1s, x2s, y2s = self._cols if is_leaf else self._node_cols
-                dsqs = _tolist(
-                    vectorized.rect_min_distance_sq(
-                        x1s[lo:hi], y1s[lo:hi], x2s[lo:hi], y2s[lo:hi],
-                        query.x, query.y,
-                    )
-                )
+                dsqs = vectorized.rect_min_distance_sq(
+                    x1s[lo:hi], y1s[lo:hi], x2s[lo:hi], y2s[lo:hi],
+                    query.x, query.y,
+                ).tolist()
             elif is_leaf:
                 dsqs = [e.mbr.min_distance_sq_point(query) for e in entries[lo:hi]]
             else:
@@ -508,7 +449,7 @@ class RTree:
             # column values, without building their entries.
             qx, qy = query.x, query.y
             recs = self._records
-            x1s, y1s, x2s, y2s = (_tolist(_take(c, winners)) for c in self._cols)
+            x1s, y1s, x2s, y2s = (c[winners].tolist() for c in self._cols)
             return [
                 (math.hypot(max(a - qx, 0.0, qx - c), max(b - qy, 0.0, qy - d)), recs[i])
                 for i, a, b, c, d in zip(winners, x1s, y1s, x2s, y2s)
@@ -525,14 +466,7 @@ class RTree:
 def _columns_from(raw: bytes, count: int, ncols: int) -> tuple:
     """``ncols`` consecutive float64 columns of ``count`` values each."""
     width = count * _FLOAT_SIZE
-    if _np is not None:
-        return tuple(
-            _np.frombuffer(raw, dtype=_np.float64, count=count, offset=i * width)
-            for i in range(ncols)
-        )
-    cols = []
-    for i in range(ncols):
-        col = array("d")
-        col.frombytes(raw[i * width:(i + 1) * width])
-        cols.append(col)
-    return tuple(cols)
+    return tuple(
+        np.frombuffer(raw, dtype=np.float64, count=count, offset=i * width)
+        for i in range(ncols)
+    )

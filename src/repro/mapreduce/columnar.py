@@ -2,15 +2,14 @@
 
 A sealed block whose records are homogeneously :class:`Point` or
 :class:`Rectangle` gets a :class:`ColumnarPayload`: the coordinates
-transposed into flat float64 columns (NumPy arrays when available,
-``array('d')`` otherwise). The payload serves three masters:
+transposed into flat float64 NumPy columns. The payload serves three
+masters:
 
 * **Batch kernels** — ``repro.geometry.vectorized`` filters a whole block
   with one mask instead of one Python call per record.
 * **Durability** — :func:`block_payload_checksum` CRCs the raw column
   bytes (with a small header), so checksums cover the columnar bytes
-  directly and are independent of pickle details *and* of which backend
-  built the columns (both produce the same native float64 bytes).
+  directly and are independent of pickle details.
 * **Zero-copy dispatch** — ``repro.mapreduce.shm`` writes the columns
   into a shared-memory arena with :meth:`ColumnarPayload.write_into` and
   reconstructs zero-copy views in workers with
@@ -24,17 +23,13 @@ falls back to the scalar path.
 from __future__ import annotations
 
 import zlib
-from array import array
 from typing import Any, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.geometry import vectorized
 from repro.geometry.point import Point
 from repro.geometry.rectangle import Rectangle
-
-try:
-    import numpy as _np
-except Exception:  # pragma: no cover - exercised on numpy-free installs
-    _np = None
 
 #: Column names per payload kind, in buffer order.
 KIND_COLUMNS = {
@@ -69,9 +64,9 @@ class ColumnarPayload:
     """Flat float64 columns for one block's records.
 
     ``kind`` is ``"point"`` (columns x, y) or ``"rect"`` (columns x1, y1,
-    x2, y2); ``count`` is the record count. Columns may be owned
-    (``array('d')``/ndarray) or zero-copy views over an external buffer
-    such as a shared-memory segment.
+    x2, y2); ``count`` is the record count. Columns are ndarrays, owned
+    or zero-copy views over an external buffer such as a shared-memory
+    segment.
     """
 
     __slots__ = ("kind", "count", "columns")
@@ -121,26 +116,15 @@ class ColumnarPayload:
         cls, kind: str, count: int, buf, offset: int = 0
     ) -> "ColumnarPayload":
         """Zero-copy payload over ``buf`` (columns laid out consecutively)."""
-        ncols = len(KIND_COLUMNS[kind])
-        if _np is not None:
-            cols = tuple(
-                _np.frombuffer(
-                    buf,
-                    dtype=_np.float64,
-                    count=count,
-                    offset=offset + i * count * _FLOAT_SIZE,
-                )
-                for i in range(ncols)
+        cols = tuple(
+            np.frombuffer(
+                buf,
+                dtype=np.float64,
+                count=count,
+                offset=offset + i * count * _FLOAT_SIZE,
             )
-        else:
-            view = memoryview(buf)
-            cols = tuple(
-                view[
-                    offset + i * count * _FLOAT_SIZE:
-                    offset + (i + 1) * count * _FLOAT_SIZE
-                ].cast("d")
-                for i in range(ncols)
-            )
+            for i in range(len(KIND_COLUMNS[kind]))
+        )
         return cls(kind, count, cols)
 
     @classmethod
@@ -150,14 +134,11 @@ class ColumnarPayload:
         payload = cls.from_buffer(kind, count, raw)
         # Rehydrate into owned columns so the pickled copy does not pin
         # the transport bytes (and stays writable-agnostic).
-        if _np is not None:
-            payload.columns = tuple(c.copy() for c in payload.columns)
-        else:
-            payload.columns = tuple(array("d", c) for c in payload.columns)
+        payload.columns = tuple(c.copy() for c in payload.columns)
         return payload
 
     def __reduce__(self):
-        # Portable pickle: raw bytes, independent of the column backend.
+        # Portable pickle: the raw column bytes.
         return (
             ColumnarPayload._from_portable,
             (self.kind, self.count, self.tobytes()),
@@ -171,28 +152,20 @@ class ColumnarPayload:
         return self.count * _FLOAT_SIZE * len(self.columns)
 
     def tobytes(self) -> bytes:
-        return b"".join(self._column_bytes(c) for c in self.columns)
-
-    @staticmethod
-    def _column_bytes(col) -> bytes:
-        if _np is not None and isinstance(col, _np.ndarray):
-            return col.tobytes()
-        if isinstance(col, memoryview):
-            return col.tobytes()
-        return col.tobytes()
+        return b"".join(c.tobytes() for c in self.columns)
 
     def checksum(self) -> int:
         """CRC-32 over a kind/count header plus the raw column bytes."""
         crc = zlib.crc32(f"{self.kind}:{self.count}".encode("ascii"))
         for col in self.columns:
-            crc = zlib.crc32(self._column_bytes(col), crc)
+            crc = zlib.crc32(col.tobytes(), crc)
         return crc
 
     def write_into(self, buf, offset: int = 0) -> int:
         """Copy the columns into ``buf`` consecutively; returns end offset."""
         view = memoryview(buf)
         for col in self.columns:
-            raw = self._column_bytes(col)
+            raw = col.tobytes()
             view[offset:offset + len(raw)] = raw
             offset += len(raw)
         return offset
@@ -260,7 +233,7 @@ def payload_of(block, expected_count: Optional[int] = None):
     payload has gone stale relative to the record list it was sealed
     over.
     """
-    payload = getattr(block, "columnar", None)
+    payload = block.columnar
     if payload is None or not vectorized.enabled():
         return None
     if expected_count is not None and payload.count != expected_count:

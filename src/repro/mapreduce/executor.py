@@ -122,8 +122,6 @@ def _prepare_shipped(chunks: Sequence[Any]):
     try:
         from repro.mapreduce import shm
 
-        if not shm.enabled():
-            return list(chunks), None
         return shm.prepare_chunks(chunks)
     except Exception:
         return list(chunks), None

@@ -45,9 +45,8 @@ class Block:
     :mod:`repro.mapreduce.columnar`): the record coordinates transposed
     into flat float64 columns, attached at seal time when the records
     are homogeneously points or rectangles. The checksum covers the
-    columnar bytes directly for such blocks. Access it through
-    ``getattr(block, "columnar", None)`` — blocks unpickled from older
-    workspaces lack the attribute entirely.
+    columnar bytes directly for such blocks; it is None for every other
+    block.
     """
 
     records: List[Any]

@@ -157,7 +157,7 @@ class StorageManager:
 
         if getattr(block, "replicas", None):
             return
-        payload = getattr(block, "columnar", None)
+        payload = block.columnar
         if payload is None:
             payload = ColumnarPayload.from_records(block.records)
             if vectorized.enabled():

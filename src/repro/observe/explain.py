@@ -167,7 +167,7 @@ def build_plan(sh: Any, query: Query) -> PlanNode:
     runner = sh.runner
     plan = _dispatch_plan(ops, runner, query)
     # Execution-mode stamp: which kernel path the blocks will take
-    # ("off" = scalar, "numpy"/"array" = batch kernels by backend).
+    # ("off" = scalar loops, "numpy" = batch kernels).
     from repro.geometry import vectorized
 
     plan.detail["vectorized"] = vectorized.mode()

@@ -19,6 +19,8 @@ from __future__ import annotations
 import math
 from typing import Any, List, Optional, Tuple
 
+import numpy as np
+
 from repro.core.result import OperationResult
 from repro.core.splitter import global_index_of
 from repro.geometry import Point, Rectangle, vectorized
@@ -38,9 +40,9 @@ def plane_sweep_join(left: List[Any], right: List[Any]) -> List[Tuple[Any, Any]]
     """All (l, r) pairs with intersecting MBRs, by x-sweep.
 
     Classic forward plane sweep over the records of one partition pair;
-    O(n log n + k) for typical inputs. With NumPy available the inner
-    loops are replaced by ``searchsorted`` windows plus one intersection
-    mask per sweep step — same pairs, same emit order.
+    O(n log n + k) for typical inputs. With vectorized execution on, the
+    inner loops are replaced by ``searchsorted`` windows plus one
+    intersection mask per sweep step — same pairs, same emit order.
     """
     ls = sorted(left, key=lambda r: shape_mbr(r).x1)
     rs = sorted(right, key=lambda r: shape_mbr(r).x1)
@@ -48,7 +50,6 @@ def plane_sweep_join(left: List[Any], right: List[Any]) -> List[Tuple[Any, Any]]
     rm = [shape_mbr(r) for r in rs]
     if (
         vectorized.enabled()
-        and vectorized.has_numpy()
         and len(ls) >= _SWEEP_MIN_RECORDS
         and len(rs) >= _SWEEP_MIN_RECORDS
     ):
@@ -93,8 +94,6 @@ def _plane_sweep_windowed(ls, rs, lm, rm) -> List[Tuple[Any, Any]]:
     scalar ``>`` break). One closed-intersection mask over the window
     then emits the same pairs in the same ascending order.
     """
-    import numpy as np
-
     nl, nr = len(ls), len(rs)
     lx1 = np.fromiter((m.x1 for m in lm), np.float64, nl)
     ly1 = np.fromiter((m.y1 for m in lm), np.float64, nl)

@@ -38,8 +38,9 @@ deadline chaos is deterministic.
 from __future__ import annotations
 
 import heapq
+from collections import deque
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Mapping, Optional
+from typing import Any, Deque, Dict, Iterable, List, Mapping, Optional
 
 from repro.core.splitter import global_index_of
 from repro.mapreduce.checkpoint import (
@@ -55,6 +56,7 @@ from repro.serve.protocol import (
     OUTCOME_ERROR,
     OUTCOME_OVERLOADED,
     OUTCOME_SERVED,
+    OUTCOMES,
     BadRequest,
     DatasetUnavailable,
     Overloaded,
@@ -71,6 +73,11 @@ DEGRADABLE_OPS = ("range", "count", "knn")
 
 #: Latency histogram boundaries (simulated seconds).
 LATENCY_BUCKETS = (0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 10.0, 30.0, 60.0, 300.0)
+
+#: How many recent responses (answers included) the service keeps for
+#: :meth:`QueryService.responses`; :meth:`QueryService.summary` counts
+#: every response, so memory stays flat however long the service runs.
+RESPONSE_LEDGER_SIZE = 1024
 
 
 @dataclass(frozen=True)
@@ -125,7 +132,10 @@ class QueryService:
         heapq.heapify(self._slots)
         self._next_id = 1
         self._burst_fired: set = set()
-        self._responses: List[Response] = []
+        self._responses: Deque[Response] = deque(maxlen=RESPONSE_LEDGER_SIZE)
+        self._outcomes: Dict[str, int] = dict.fromkeys(OUTCOMES, 0)
+        #: Collects every response a process_script call finishes.
+        self._collected: Optional[List[Response]] = None
         self._shutdown = False
         self._shutdown_requested = False
         self._log(
@@ -282,10 +292,17 @@ class QueryService:
 
         All requests in the script arrive in one burst (same virtual
         instant), which is the adversarial case admission control
-        exists for. Returns the responses created by *this* call,
-        sorted by request id.
+        exists for. Returns every response *this* call finished, even
+        more than the ledger keeps, sorted by request id.
         """
-        before = len(self._responses)
+        collected = self._collected = []
+        try:
+            self._replay(lines)
+        finally:
+            self._collected = None
+        return sorted(collected, key=lambda r: r.request_id)
+
+    def _replay(self, lines: Iterable[str]) -> None:
         for line in lines:
             try:
                 record = parse_request_line(line)
@@ -309,9 +326,6 @@ class QueryService:
                 deadline_s=record.get("deadline_s"),
             )
         self.drain()
-        return sorted(
-            self._responses[before:], key=lambda r: r.request_id
-        )
 
     # ------------------------------------------------------------------
     # Request execution
@@ -563,7 +577,8 @@ class QueryService:
     # Bookkeeping, metrics, summaries
     # ------------------------------------------------------------------
     def responses(self) -> List[Response]:
-        """Every terminal response so far, in request-id order."""
+        """The last ``RESPONSE_LEDGER_SIZE`` terminal responses, in
+        request-id order."""
         return sorted(self._responses, key=lambda r: r.request_id)
 
     def _breaker(self, name: str) -> CircuitBreaker:
@@ -578,6 +593,9 @@ class QueryService:
 
     def _finish(self, response: Response) -> None:
         self._responses.append(response)
+        self._outcomes[response.outcome] += 1
+        if self._collected is not None:
+            self._collected.append(response)
         self._count(response.tenant, response.outcome)
         self.sh.metrics.observe(
             "serve_latency_s", response.latency_s, LATENCY_BUCKETS
@@ -628,15 +646,9 @@ class QueryService:
 
     def summary(self) -> Dict[str, Any]:
         """Terminal-outcome counts plus cache/breaker/tenant snapshots."""
-        counts = {outcome: 0 for outcome in (
-            OUTCOME_SERVED, OUTCOME_DEGRADED, OUTCOME_OVERLOADED,
-            OUTCOME_DEADLINE, OUTCOME_ERROR,
-        )}
-        for response in self._responses:
-            counts[response.outcome] += 1
         return {
-            "requests": len(self._responses),
-            **counts,
+            "requests": sum(self._outcomes.values()),
+            **self._outcomes,
             "cache": self.cache.snapshot(),
             "breakers": {
                 name: b.snapshot() for name, b in sorted(self.breakers.items())

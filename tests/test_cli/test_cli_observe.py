@@ -170,6 +170,27 @@ class TestFaultFlags:
         sh = load_workspace(indexed_ws)
         assert sh.runner.faults is None
 
+    def test_execution_flags_are_not_persisted(self, indexed_ws, capsys):
+        from repro.core.workspace import load_workspace
+
+        def knobs():
+            runner = load_workspace(indexed_ws).runner
+            return (
+                type(runner.executor).__name__, runner.executor.workers,
+                runner.max_attempts, runner.task_timeout, runner.speculative,
+            )
+
+        loaded = knobs()
+        # A mutating command, so the workspace is saved after it ran.
+        assert run(
+            indexed_ws,
+            "--workers", "2", "--task-timeout", "3", "--speculative",
+            "--max-attempts", "2",
+            "index", "pts", "idx2", "--technique", "grid",
+        ) == 0
+        capsys.readouterr()
+        assert knobs() == loaded
+
     def test_bad_faults_spec_errors_out(self, indexed_ws, capsys):
         assert run(
             indexed_ws, "--faults", "nonsense",

@@ -3,8 +3,8 @@
 Random inputs (stdlib ``random``, fixed seeds) plus the degenerate
 shapes that break naive vectorization — empty inputs, a single point,
 coordinates exactly on query boundaries, duplicate distances — are fed
-to every kernel twice: once through the backend under test and once
-through a hand-written scalar loop mirroring the pre-vectorization code.
+to every kernel twice: once through the NumPy kernel and once through a
+hand-written scalar loop mirroring the pre-vectorization code.
 Results must match exactly (indices, order, ties).
 """
 
@@ -214,11 +214,8 @@ class TestTopK:
 
 
 class TestBackendParity:
-    """NumPy and array('d') backends agree with each other exactly."""
+    """Kernels answer the same with ``REPRO_VECTORIZE`` on and off."""
 
-    @pytest.mark.skipif(
-        not vectorized.has_numpy(), reason="needs numpy for cross-check"
-    )
     @pytest.mark.parametrize("seed", SEEDS)
     def test_off_mode_equals_on_mode(self, seed, monkeypatch):
         pts = random_points(random.Random(seed), 250)

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 from repro.geometry import Point, Rectangle, vectorized
 from repro.index import RTree, RTreeEntry
-from repro.index import rtree as rtree_module
 
 coords = st.floats(-1000, 1000, allow_nan=False, allow_infinity=False)
 points = st.builds(Point, coords, coords)
@@ -334,29 +333,6 @@ class TestArrayLayout:
         records = pickle.dumps(pts, protocol=pickle.HIGHEST_PROTOCOL)
         both = pickle.dumps((pts, tree), protocol=pickle.HIGHEST_PROTOCOL)
         assert len(both) - len(records) <= 48 * n + 4096
-
-    @given(
-        st.one_of(
-            st.lists(grid_points, max_size=120),
-            st.lists(grid_rects, max_size=120),
-        ),
-        st.integers(2, 16),
-    )
-    @settings(max_examples=30, deadline=None)
-    def test_pure_python_build_matches_numpy(self, shapes, capacity):
-        if not vectorized.has_numpy():
-            pytest.skip("needs NumPy for the comparison")
-        with_numpy = RTree.from_shapes(shapes, node_capacity=capacity)
-        saved = rtree_module._np, vectorized._np
-        rtree_module._np = vectorized._np = None
-        try:
-            pure = RTree.from_shapes(shapes, node_capacity=capacity)
-            assert pure.checksum() == with_numpy.checksum()
-            assert list(pure.all_entries()) == list(with_numpy.all_entries())
-            clone = pickle.loads(pickle.dumps(with_numpy))
-        finally:
-            rtree_module._np, vectorized._np = saved
-        assert clone.checksum() == with_numpy.checksum()
 
     def test_checksum_survives_pickle_and_tracks_content(self):
         pts = [Point(float(i % 9), float(i // 9)) for i in range(200)]

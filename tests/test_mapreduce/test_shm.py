@@ -17,7 +17,6 @@ from repro.mapreduce.types import InputSplit
 @pytest.fixture(autouse=True)
 def shm_on(monkeypatch):
     monkeypatch.setenv("REPRO_VECTORIZE", "1")
-    monkeypatch.setenv("REPRO_SHM", "1")
 
 
 def build_system(**kwargs):
@@ -54,8 +53,10 @@ class TestPrepareChunks:
         assert shipped == [chunk]
 
     def test_disabled_env_passes_through(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SHM", "0")
+        # Blocks sealed with kernels on carry payloads; shipping still
+        # stays off once REPRO_VECTORIZE=0.
         sh = build_system()
+        monkeypatch.setenv("REPRO_VECTORIZE", "0")
         chunk = map_chunk_for(sh.fs, "pts")
         shipped, arena = prepare_chunks([chunk])
         assert arena is None

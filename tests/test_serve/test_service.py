@@ -1,5 +1,7 @@
 """QueryService end to end: serving, admission, degradation, shutdown."""
 
+import json
+
 import pytest
 
 from repro import SpatialHadoop
@@ -12,6 +14,7 @@ from repro.serve import (
     ServiceConfig,
     TenantQuota,
 )
+from repro.serve import service as service_module
 
 WINDOW = Rectangle(2e5, 2e5, 6e5, 6e5)
 RANGE_Q = "range pts_idx 200000,200000,600000,600000"
@@ -345,6 +348,32 @@ class TestShutdown:
         executor.close()
         executor.close(wait=False)
         service.shutdown()
+
+
+class TestResponseLedger:
+    def test_ledger_is_bounded_and_summary_counts_everything(
+        self, shared_ws, monkeypatch
+    ):
+        monkeypatch.setattr(service_module, "RESPONSE_LEDGER_SIZE", 4)
+        service = shared_ws.serve()
+        queries = [RANGE_Q, RANGE_Q2, COUNT_Q, KNN_Q, RANGE_Q, COUNT_Q]
+        script = [
+            json.dumps({"tenant": tenant, "query": query})
+            for tenant, query in zip(["alice", "bob"] * 3, queries)
+        ] + ["not json"]
+        replayed = service.process_script(script)
+        # The script's return value is not bounded by the ledger.
+        assert len(replayed) == 7
+        assert [r.request_id for r in replayed] == list(range(1, 8))
+        service.query("carol", KNN_Q)
+        # The ledger keeps the four most recently finished, by id.
+        kept = [r.request_id for r in service.responses()]
+        assert len(kept) == 4
+        assert kept == sorted(kept) and kept[-1] == 8
+        summary = service.summary()
+        assert summary["requests"] == 8
+        assert summary["served"] == 7
+        assert summary["error"] == 1
 
 
 class TestObservability:
